@@ -8,10 +8,10 @@ from .starpoly import (StarPoly, canonical_pure_factor, coprime_even_bezout,
                        gcd, gcd_bezout, is_pure, norm_factor,
                        norm_factor_avoiding, parse_poly, format_poly,
                        pure_split, solve_norm_equation)
-from .polymat import (HERMITIAN, SKEW, Certificate, PolyMatrix, Reduction,
-                      SmithForm, determinant, form_kind, form_value,
-                      gcd_of_matrix, invariant_factors, inverse,
-                      is_unimodular, kernel_split, smith_form,
+from .polymat import (HERMITIAN, SKEW, Certificate, CertificateError,
+                      PolyMatrix, Reduction, SmithForm, determinant,
+                      form_kind, form_value, gcd_of_matrix, invariant_factors,
+                      inverse, is_unimodular, kernel_split, smith_form,
                       unimodular_completion)
 from .congruence import (ReductionError, SkewSplitResult, block_swap,
                          her2_diagonalize, isotropic_vector, represent_one,

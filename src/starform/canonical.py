@@ -14,9 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .starpoly import (EVEN, ODD, ZERO, StarPoly, canonical_pure_factor,
                        is_pure)
-from .polymat import (HERMITIAN, SKEW, Certificate, PolyMatrix, Reduction,
-                      determinant, form_kind, gcd_of_matrix, inverse,
-                      invariant_factors, kernel_split, smith_form)
+from .polymat import (HERMITIAN, SKEW, Certificate, CertificateError,
+                      PolyMatrix, Reduction, determinant, form_kind,
+                      gcd_of_matrix, inverse, invariant_factors, kernel_split)
 from .congruence import (ReductionError, block_swap, compress_form,
                          represent_one, sk_split, split_one)
 from .tower import Tower
@@ -250,8 +250,8 @@ def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, PolyMatrix, List]:
     if eps2 == HERMITIAN:
         v = represent_one(A2)
         cert1 = split_one(A2, v)
-        M1 = (cert1.S.star_transpose() @ A) @ cert1.S
-        sub = M1.submatrix(range(1, n), range(1, n))
+        # cert1 certifies A2 = A / d, so S* A S = d B
+        sub = cert1.B.submatrix(range(1, n), range(1, n)).scale(d)
         comp = compress_form(sub)
         S_sub, B_sub, blocks_sub = _core(comp.B, eps)
         S = cert1.S @ PolyMatrix.block_diag(
@@ -261,8 +261,7 @@ def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, PolyMatrix, List]:
     res = sk_split(A2)
     p = canonical_pure_factor((res.f * res.f.star()).monic())
     sw = block_swap(res.f, p)
-    M1 = (res.cert.S.star_transpose() @ A) @ res.cert.S
-    sub = M1.submatrix(range(2, n), range(2, n))
+    sub = res.cert.B.submatrix(range(2, n), range(2, n)).scale(d)
     comp = compress_form(sub)
     S_sub, B_sub, blocks_sub = _core(comp.B, eps)
     S = res.cert.S @ PolyMatrix.block_diag(T, [sw.S, comp.S @ S_sub])
@@ -279,16 +278,18 @@ def canonicalize(A: PolyMatrix, eps: int) -> Tuple[Certificate, CanonicalBlocks]
     kind = form_kind(A)
     if kind is None or (not A.is_zero() and kind != eps):
         raise ValueError("matrix is not an eps-form of the stated kind")
-    ks = kernel_split(A)
-    k = 0
-    while k < n and all(ks.B.entries[k][j].is_zero() for j in range(n)):
-        k += 1
-    if n - k != sum(1 for f in invariant_factors(A) if not f.is_zero()):
-        raise AssertionError("kernel split rank mismatch")
-    core = ks.B.submatrix(range(k, n), range(k, n))
-    S_core, B_core, blocks = _core(core, eps)
+    rank = sum(1 for f in invariant_factors(A) if not f.is_zero())
     red = Reduction(A)
-    red.apply(ks.S)
+    k = 0
+    if rank < n:
+        ks = kernel_split(A)
+        while k < n and all(ks.B.entries[k][j].is_zero() for j in range(n)):
+            k += 1
+        if n - k != rank:
+            raise AssertionError("kernel split rank mismatch")
+        red.apply(ks.S)
+    core = red.B.submatrix(range(k, n), range(k, n))
+    S_core, B_core, blocks = _core(core, eps)
     red.apply(PolyMatrix.block_diag(T, [PolyMatrix.identity(T, k), S_core]))
     if k:
         perm = list(range(k, n)) + list(range(k))
@@ -298,9 +299,11 @@ def canonicalize(A: PolyMatrix, eps: int) -> Tuple[Certificate, CanonicalBlocks]
     expected = cb.matrix()
     if expected is None:
         expected = PolyMatrix.zeros(T, 0, 0)
-    assert red.B == expected, "canonical assembly mismatch"
+    if red.B != expected:
+        raise CertificateError("canonical assembly mismatch")
     cert = red.certificate()
-    assert cert.verify(A)
+    if not cert.verify(A):
+        raise CertificateError("canonicalization certificate fails S* A S = B")
     return cert, cb
 
 
@@ -320,8 +323,10 @@ def are_congruent(A: PolyMatrix, A2: PolyMatrix, eps: int,
         return same, None
     cert1, cb1 = canonicalize(A, eps)
     cert2, cb2 = canonicalize(A2, eps)
-    assert cb1 == cb2, "canonical forms of equivalent matrices differ"
+    if cb1 != cb2:
+        raise CertificateError("canonical forms of equivalent matrices differ")
     S = cert1.S @ inverse(cert2.S)
     cert = Certificate(S, A2)
-    assert cert.verify(A)
+    if not cert.verify(A):
+        raise CertificateError("congruence certificate fails S* A S = A2")
     return True, cert

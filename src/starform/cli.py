@@ -326,6 +326,7 @@ def cmd_selftest(args) -> int:
                             for _ in range(n)])
         sf = smith_form(A)
         assert (sf.U @ A) @ sf.V == sf.D
+        assert invf(A) == sf.factors
         n_smith += 1
     report.append(f"smith round-trip: {n_smith} samples ok")
 

@@ -26,8 +26,8 @@ from .starpoly import (EVEN, StarPoly, canonical_pure_factor,
                        norm_factor_avoiding, pure_split, solve_norm_equation)
 from .polymat import (HERMITIAN, SKEW, Certificate, PolyMatrix, Reduction,
                       apply_matrix, determinant, form_kind, form_value,
-                      gcd_of_matrix, kernel_split, smith_form,
-                      unimodular_completion, vector_gcd)
+                      gcd_of_matrix, invariant_factors, kernel_split,
+                      smith_form, unimodular_completion, vector_gcd)
 from .tower import Tower
 
 _SCAN_CAP = 4096
@@ -1025,7 +1025,7 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
             S = comp.S @ inner.cert.S
             return SkewSplitResult(Certificate(S, inner.cert.B), inner.f,
                                    inner.nu, inner.D)
-    factors = smith_form(A).factors
+    factors = invariant_factors(A)
     f2 = factors[1]
     if f2.parity() != EVEN or f2.eval(T.zero).is_zero():
         raise ReductionError("second invariant factor is not an admissible norm")

@@ -1,6 +1,7 @@
 """Matrices over R = F[t]: star-transpose, determinants, Smith normal form
-with transformation matrices, unimodular completion, zero-block splitting,
-and congruence-move accumulation with verified certificates.
+with transformation matrices and invariant factors without them, unimodular
+completion, zero-block splitting, and congruence-move accumulation with
+verified certificates.
 
 Matrices are immutable; all operations are exact.
 """
@@ -275,34 +276,45 @@ class SmithForm:
         self.factors = factors
 
 
-def smith_form(A: PolyMatrix) -> SmithForm:
+def _smith(A: PolyMatrix, track: bool):
+    """The Smith elimination loop: (M, U, V) as row lists with U A V = M
+    diagonal, monic divisibility chain.  U and V are None unless track.
+
+    Step k clears row and column k, so later operations only meet zeros
+    outside rows and columns >= k: M is updated there alone, and zero
+    entries of the pivot row or column are skipped."""
     T = A.tower
     m, n = A.rows, A.cols
     M = [list(row) for row in A.entries]
-    U = [list(row) for row in PolyMatrix.identity(T, m).entries]
-    V = [list(row) for row in PolyMatrix.identity(T, n).entries]
+    U = V = None
+    if track:
+        U = [list(row) for row in PolyMatrix.identity(T, m).entries]
+        V = [list(row) for row in PolyMatrix.identity(T, n).entries]
 
-    def row_op(i, j, q):  # row_i -= q * row_j  (on M and U)
-        for k in range(n):
-            M[i][k] = M[i][k] - q * M[j][k]
-        for k in range(m):
-            U[i][k] = U[i][k] - q * U[j][k]
+    def row_op(i, j, q, k):  # row_i -= q * row_j  (on M from column k, and U)
+        Mi, Mj = M[i], M[j]
+        for c in range(k, n):
+            if Mj[c].coeffs:
+                Mi[c] = Mi[c] - q * Mj[c]
+        if track:
+            Ui, Uj = U[i], U[j]
+            for c in range(m):
+                if Uj[c].coeffs:
+                    Ui[c] = Ui[c] - q * Uj[c]
 
-    def col_op(i, j, q):  # col_i -= q * col_j  (on M and V)
-        for k in range(m):
-            M[k][i] = M[k][i] - q * M[k][j]
-        for k in range(n):
-            V[k][i] = V[k][i] - q * V[k][j]
+    def col_op(i, j, q, k):  # col_i -= q * col_j  (on M from row k, and V)
+        for R in M[k:] + V if track else M[k:]:
+            if R[j].coeffs:
+                R[i] = R[i] - q * R[j]
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
+        if track:
+            U[i], U[j] = U[j], U[i]
 
-    def col_swap(i, j):
-        for k in range(m):
-            M[k][i], M[k][j] = M[k][j], M[k][i]
-        for k in range(n):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
+    def col_swap(i, j, k):
+        for R in M[k:] + V if track else M[k:]:
+            R[i], R[j] = R[j], R[i]
 
     for k in range(min(m, n)):
         while True:
@@ -317,22 +329,21 @@ def smith_form(A: PolyMatrix) -> SmithForm:
                         pivot = (i, j)
             if pivot is None:
                 break
-            if pivot != (k, k):
-                if pivot[0] != k:
-                    row_swap(k, pivot[0])
-                if pivot[1] != k:
-                    col_swap(k, pivot[1])
+            if pivot[0] != k:
+                row_swap(k, pivot[0])
+            if pivot[1] != k:
+                col_swap(k, pivot[1], k)
             dirty = False
             for i in range(k + 1, m):
                 if not M[i][k].is_zero():
                     q = M[i][k] // M[k][k]
-                    row_op(i, k, q)
+                    row_op(i, k, q, k)
                     if not M[i][k].is_zero():
                         dirty = True
             for j in range(k + 1, n):
                 if not M[k][j].is_zero():
                     q = M[k][j] // M[k][k]
-                    col_op(j, k, q)
+                    col_op(j, k, q, k)
                     if not M[k][j].is_zero():
                         dirty = True
             if dirty:
@@ -348,26 +359,36 @@ def smith_form(A: PolyMatrix) -> SmithForm:
                     break
             if culprit is None:
                 break
-            row_op(k, culprit, StarPoly.const(T, -1))  # row_k += row_culprit
+            row_op(k, culprit, StarPoly.const(T, -1), k)  # row_k += row_culprit
         if M[k][k].is_zero():
             break
         if not M[k][k].lc().is_one():
-            c = T.inv(M[k][k].lc())
-            cp = StarPoly.const(T, c)
-            for j in range(n):
-                M[k][j] = cp * M[k][j]
-            for j in range(m):
-                U[k][j] = cp * U[k][j]
+            # row k is zero off the pivot, so only the pivot (and U) rescale
+            cp = StarPoly.const(T, T.inv(M[k][k].lc()))
+            M[k][k] = cp * M[k][k]
+            if track:
+                U[k] = [cp * e if e.coeffs else e for e in U[k]]
+    return M, U, V
 
-    factors = tuple(M[i][i] if i < n else StarPoly.zero(T) for i in range(min(m, n)))
+
+def smith_form(A: PolyMatrix) -> SmithForm:
+    T = A.tower
+    M, U, V = _smith(A, True)
+    factors = tuple(M[i][i] for i in range(min(A.rows, A.cols)))
     return SmithForm(PolyMatrix(T, U), PolyMatrix(T, V), PolyMatrix(T, M), factors)
 
 
 def invariant_factors(A: PolyMatrix) -> Tuple[StarPoly, ...]:
-    return smith_form(A).factors
+    """The diagonal of the Smith form, computed without U and V."""
+    M = _smith(A, False)[0]
+    return tuple(M[i][i] for i in range(min(A.rows, A.cols)))
 
 
 # ---------------- certificates and congruence moves ----------------
+
+class CertificateError(RuntimeError):
+    """A computed congruence failed its exact check."""
+
 
 class Certificate:
     """A verified congruence: S unimodular with S* A S = B."""

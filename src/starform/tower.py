@@ -487,18 +487,6 @@ class Tower:
             return self.zero
         return tab.exp[(ia + z) % (tab.q - 1)]
 
-    def _add_slow(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        lv = a.level if a.level >= b.level else b.level
-        if lv == 0:
-            return self._fp_cache[(a.rep + b.rep) % self.p]
-        va, vb = self._view(a, lv), self._view(b, lv)
-        if len(va) < len(vb):
-            va, vb = vb, va
-        out = list(va)
-        for i, c in enumerate(vb):
-            out[i] = self.add(out[i], c)
-        return self._canon(lv, out)
-
     def sub(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return self.add(a, self.neg(b))
 

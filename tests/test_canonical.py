@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +290,46 @@ def test_canonical_blocks_serialize():
     cb, _ = assemble_canonical(FS(T, HERMITIAN, ["1", "t^2"]))
     text = cb.serialize(T)
     assert "1x1: 1" in text and "1x1: t^2" in text
+
+
+_CORRUPT_UNDER_O = """
+import sys
+if __debug__:
+    sys.exit("not running under python -O")
+from starform import (Certificate, CertificateError, PolyMatrix, Reduction,
+                      StarPoly, Tower, canonicalize, parse_poly)
+
+good = Reduction.certificate
+
+def corrupted(self):
+    cert = good(self)
+    rows = [list(row) for row in cert.B.entries]
+    rows[0][0] = rows[0][0] + StarPoly.one(cert.B.tower)  # one coefficient
+    return Certificate(cert.S, PolyMatrix(cert.B.tower, rows))
+
+Reduction.certificate = corrupted
+T = Tower(5)
+# 1x1: only the final certificate is corrupted, so its verify must fail;
+# 2x2: represent_one's certificates are corrupted too, so the assembled
+# block matrix differs first
+for rows in ([["t^2+1"]], [["t^2+1", "t"], ["-t", "2"]]):
+    A = PolyMatrix(T, [[parse_poly(e, T) for e in row] for row in rows])
+    try:
+        canonicalize(A, 1)
+    except CertificateError as exc:
+        print(exc)
+    else:
+        sys.exit("canonicalize accepted a corrupted certificate")
+"""
+
+
+def test_certificate_checks_survive_python_O():
+    src = str(Path(__import__("starform").__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "canonicalization certificate fails S* A S = B",
+        "canonical assembly mismatch"]

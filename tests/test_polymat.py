@@ -9,6 +9,7 @@ from starform.polymat import (HERMITIAN, SKEW, Certificate, PolyMatrix,
                               form_value, gcd_of_matrix, invariant_factors,
                               inverse, is_unimodular, kernel_split,
                               smith_form, unimodular_completion, vector_gcd)
+from starform.canonical import Block1, canonicalize
 
 
 def M(rows, T):
@@ -183,6 +184,33 @@ def test_t_scaling_law():
         assert fta == expected
 
 
+def test_invariant_factors_match_smith_form():
+    """invariant_factors runs the Smith loop without U and V; its diagonal
+    must be the one smith_form reports."""
+    rng = random.Random(12)
+    for p in (3, 5):
+        T = Tower(p)
+        for _ in range(40):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            A = PolyMatrix(T, [[rand_poly(T, rng, 3) for _ in range(n)]
+                               for _ in range(m)])
+            assert invariant_factors(A) == smith_form(A).factors
+            if 2 <= m <= n:  # rank below min(m, n): a repeated row
+                rows = [list(r) for r in A.entries]
+                rows[-1] = rows[0]
+                S = PolyMatrix(T, rows)
+                fs = invariant_factors(S)
+                assert fs == smith_form(S).factors and fs[-1].is_zero()
+    T = Tower(5)
+    u = T.sqrt(T.elem(2))
+    assert "u1" in str(u)
+    A = PolyMatrix(T, [[parse_poly("t^2+1", T), StarPoly.const(T, u)],
+                       [parse_poly("t", T), parse_poly("t^3-t", T)]])
+    fs = invariant_factors(A)
+    assert fs == smith_form(A).factors
+    assert fs[0].is_one() and fs[1].degree() == 5
+
+
 # ---------------- matrix gcd ----------------
 
 def test_gcd_of_matrix_examples():
@@ -245,6 +273,34 @@ def test_kernel_split_random():
         if r:
             core = cert.B.submatrix(range(k, n), range(k, n))
             assert not determinant(core).is_zero()
+
+
+def test_canonicalize_full_rank_and_singular():
+    """canonicalize calls kernel_split only below full rank; both paths
+    must verify and put the zero blocks last."""
+    rng = random.Random(13)
+    for p in (3, 5):
+        T = Tower(p)
+        for eps in (HERMITIAN, SKEW):
+            for kernel in (0, 1, 2):
+                core = rand_eps_form(T, rng, 2, eps, 2)
+                while determinant(core).is_zero():
+                    core = rand_eps_form(T, rng, 2, eps, 2)
+                n = 2 + kernel
+                A = PolyMatrix.block_diag(
+                    T, [core, PolyMatrix.zeros(T, kernel, kernel)])
+                red = Reduction(A)
+                for _ in range(3):
+                    i, j = rng.sample(range(n), 2)
+                    red.transvection(i, j, rand_poly(T, rng, 1))
+                A = red.B
+                cert, cb = canonicalize(A, eps)
+                assert cert.verify(A)
+                assert cert.B == cb.matrix()
+                zero = [isinstance(b, Block1) and b.f.is_zero()
+                        for b in cb.blocks]
+                assert sum(zero) == kernel
+                assert zero == sorted(zero)
 
 
 # ---------------- unimodular completion ----------------
