@@ -27,7 +27,8 @@ from .starpoly import (EVEN, StarPoly, canonical_pure_factor,
 from .polymat import (HERMITIAN, SKEW, Certificate, PolyMatrix, Reduction,
                       apply_matrix, determinant, form_kind, form_value,
                       gcd_of_matrix, invariant_factors, kernel_split,
-                      smith_form, unimodular_completion, vector_gcd)
+                      reduce_columns, smith_form, unimodular_completion,
+                      vector_gcd)
 from .tower import Tower
 
 _SCAN_CAP = 4096
@@ -274,33 +275,8 @@ def _reduce_frame_columns(V: PolyMatrix) -> PolyMatrix:
     the coordinate change equal to e0 (so frame-candidate pairings survive):
     columns >= 1 reduce each other and column 0, never the other way."""
     cols = [V.column(j) for j in range(V.cols)]
-    n = V.cols
-
-    def total_deg(col):
-        return sum(max(e.degree(), 0) for e in col)
-
-    changed = True
-    passes = 0
-    while changed and passes < 6:
-        changed = False
-        passes += 1
-        for i in range(1, n):
-            for j in range(n):
-                if j == i:
-                    continue
-                for r in range(len(cols[0])):
-                    a, b = cols[i][r], cols[j][r]
-                    if a.is_zero() or b.is_zero() or b.degree() < a.degree():
-                        continue
-                    q = b // a
-                    if q.is_zero():
-                        continue
-                    cand = [cj - q * ci for cj, ci in zip(cols[j], cols[i])]
-                    if total_deg(cand) < total_deg(cols[j]):
-                        cols[j] = cand
-                        changed = True
-    return PolyMatrix(V.tower, [[cols[j][i] for j in range(n)]
-                                for i in range(len(cols[0]))])
+    reduce_columns(cols, range(1, V.cols), 6)
+    return PolyMatrix(V.tower, [[col[i] for col in cols] for i in range(V.rows)])
 
 
 def _frame_conjugators(A: PolyMatrix) -> List[PolyMatrix]:
@@ -797,15 +773,9 @@ class _PivotSearch:
                 raise ReductionError("pairing degree fell below the Smith bound")
             if self._try_smith_frame(m):
                 continue
-            if self._try_zero_diagonal_rows(m):
-                continue
-            if self._try_bezout_pairs(m):
-                continue
             if self._try_block_lift(m):
                 continue
             _dx_descent(red)
-            if self._try_bezout_pairs(red.B.entries[0][1].degree()):
-                continue
             if self._try_stir(m):
                 continue
             raise ReductionError("skew pivot search stalled above the Smith bound")
@@ -830,35 +800,6 @@ class _PivotSearch:
         return deg < m
 
     # -- move generators --
-
-    def _try_zero_diagonal_rows(self, m: int) -> bool:
-        B = self.red.B
-        for k in range(1, self.n):
-            if B.entries[k][k].is_zero():
-                v = _basis_vector(self.T, self.n, k)
-                if self._improves(v, m):
-                    self._commit(v)
-                    return True
-        return False
-
-    def _try_bezout_pairs(self, m: int) -> bool:
-        B = self.red.B
-        g = B.entries[0][1]
-        gs = g.star()
-        for k in range(2, self.n):
-            if not B.entries[k][k].is_zero():
-                continue
-            a2k = B.entries[1][k]
-            e = poly_gcd(gs, a2k) if not a2k.is_zero() else gs.monic()
-            if e.degree() >= m:
-                continue
-            _, x, z = gcd_bezout(-gs, a2k)
-            v = _basis_vector(self.T, self.n, 0, x)
-            v[k] = z
-            if self._improves(v, m):
-                self._commit(v)
-                return True
-        return False
 
     def _try_block_lift(self, m: int) -> bool:
         B = self.red.B
@@ -904,7 +845,7 @@ class _PivotSearch:
             _reduce_row_tail(self.red, 1)
             if self.red.B.entries[0][1].degree() < m:
                 return True
-            if self._try_smith_frame(m) or self._try_bezout_pairs(m):
+            if self._try_smith_frame(m):
                 return True
         return False
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .starpoly import EVEN, ODD, StarPoly, gcd as poly_gcd
+from .starpoly import EVEN, ODD, StarPoly, format_poly, gcd as poly_gcd
 from .tower import Tower
 
 HERMITIAN = 1
@@ -399,10 +399,31 @@ class Certificate:
         self.S = S
         self.B = B
 
+    def check(self, A: PolyMatrix) -> None:
+        """Raise CertificateError, with the reason, unless S is unimodular
+        and S* A S = B."""
+        S, B = self.S, self.B
+        n = A.rows
+        if not (A.cols == n and S.rows == S.cols == n and B.rows == B.cols == n):
+            raise CertificateError(
+                f"shape mismatch: A is {A.rows}x{A.cols}, S is {S.rows}x{S.cols}, "
+                f"B is {B.rows}x{B.cols}")
+        if not is_unimodular(S):
+            raise CertificateError("not unimodular")
+        got = (S.star_transpose() @ A) @ S
+        for i in range(n):
+            for j in range(n):
+                if got.entries[i][j] != B.entries[i][j]:
+                    raise CertificateError(
+                        f"entry ({i + 1},{j + 1}): {format_poly(got.entries[i][j])} "
+                        f"!= {format_poly(B.entries[i][j])}")
+
     def verify(self, A: PolyMatrix) -> bool:
-        if not is_unimodular(self.S):
+        try:
+            self.check(A)
+        except CertificateError:
             return False
-        return (self.S.star_transpose() @ A) @ self.S == self.B
+        return True
 
 
 class Reduction:
@@ -575,6 +596,40 @@ def unimodular_completion(v: Sequence[StarPoly]) -> PolyMatrix:
     return out
 
 
+def reduce_columns(cols: List[List[StarPoly]], pivots: Sequence[int],
+                   passes: int) -> None:
+    """Degree-reduce the columns in place: each pivot column i replaces
+    every other column j by cols[j] - q cols[i], q the quotient at a row
+    where deg cols[j] >= deg cols[i], when that lowers the total degree of
+    column j.  At most `passes` sweeps; stops after one with no change.
+
+    Entries are read from cols after every replacement, so a later row sees
+    the column as it now is."""
+    def total(col):
+        return sum(max(e.degree(), 0) for e in col)
+
+    rows = len(cols[0])
+    for _ in range(passes):
+        changed = False
+        for i in pivots:
+            for j in range(len(cols)):
+                if j == i:
+                    continue
+                for r in range(rows):
+                    a, b = cols[i][r], cols[j][r]
+                    if a.is_zero() or b.is_zero() or b.degree() < a.degree():
+                        continue
+                    q = b // a
+                    if q.is_zero():
+                        continue
+                    cand = [cj - q * ci for cj, ci in zip(cols[j], cols[i])]
+                    if total(cand) < total(cols[j]):
+                        cols[j] = cand
+                        changed = True
+        if not changed:
+            break
+
+
 def kernel_split(A: PolyMatrix) -> Certificate:
     """Congruence to 0_{n-r} (+) A' with det A' != 0, via the Smith kernel."""
     T = A.tower
@@ -588,30 +643,7 @@ def kernel_split(A: PolyMatrix) -> Certificate:
     # degree-reduce: kernel columns against each other, and complement
     # columns by kernel columns; both leave S* A S unchanged since the
     # kernel columns annihilate A on both sides
-    k = n - r
-
-    def total(col):
-        return sum(max(e.degree(), 0) for e in col)
-
-    for _ in range(4):
-        changed = False
-        for i in range(k):
-            for j in range(n):
-                if j == i:
-                    continue
-                for row in range(n):
-                    a, b = scols[i][row], scols[j][row]
-                    if a.is_zero() or b.is_zero() or b.degree() < a.degree():
-                        continue
-                    q = b // a
-                    if q.is_zero():
-                        continue
-                    cand = [cj - q * ci for cj, ci in zip(scols[j], scols[i])]
-                    if total(cand) < total(scols[j]):
-                        scols[j] = cand
-                        changed = True
-        if not changed:
-            break
+    reduce_columns(scols, range(n - r), 4)
     S = PolyMatrix(T, [[scols[j][i] for j in range(n)] for i in range(n)])
     B = (S.star_transpose() @ A) @ S
     for i in range(n):

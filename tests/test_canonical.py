@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +280,28 @@ def test_congruence_is_equivalence_on_corpus():
                     assert are_congruent(A, C, SKEW)[0]
 
 
+@pytest.mark.parametrize("seed, n", [
+    (15, 5),  # needs _hyperbolic_unit_vector: without it, over 60 s
+    (6, 6),   # a stale column read in reduce_columns grows the tower to u1
+])
+def test_scrambled_regressions_stay_in_prime_field(seed, n):
+    inst = generate(RandomSpec(seed=seed, p=5, n=n, eps=HERMITIAN,
+                               max_degree=6, moves=6))
+
+    def over_budget(signum, frame):
+        raise TimeoutError("canonicalize ran past its 5 s budget")
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.alarm(5)
+    try:
+        _, cb = canonicalize(inst.A, HERMITIAN)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert inst.tower.num_levels() == 0
+    assert cb == inst.blocks
+
+
 # ---------------- serialization ----------------
 
 def test_canonical_blocks_serialize():
@@ -296,22 +319,22 @@ _CORRUPT_UNDER_O = """
 import sys
 if __debug__:
     sys.exit("not running under python -O")
-from starform import (Certificate, CertificateError, PolyMatrix, Reduction,
-                      StarPoly, Tower, canonicalize, parse_poly)
+from starform import (CertificateError, PolyMatrix, StarPoly, Tower,
+                      canonicalize, parse_poly)
+from starform import canonical
 
-good = Reduction.certificate
+good = canonical._core
 
-def corrupted(self):
-    cert = good(self)
-    rows = [list(row) for row in cert.B.entries]
-    rows[0][0] = rows[0][0] + StarPoly.one(cert.B.tower)  # one coefficient
-    return Certificate(cert.S, PolyMatrix(cert.B.tower, rows))
+def corrupted(A, eps):
+    S, blocks = good(A, eps)
+    rows = [list(row) for row in S.entries]
+    rows[0][0] = rows[0][0] + StarPoly.one(S.tower)  # one coefficient
+    return PolyMatrix(S.tower, rows), blocks
 
-Reduction.certificate = corrupted
+canonical._core = corrupted
 T = Tower(5)
-# 1x1: only the final certificate is corrupted, so its verify must fail;
-# 2x2: represent_one's certificates are corrupted too, so the assembled
-# block matrix differs first
+# the final check is the only one: both a 1x1 input and a 2x2 input (whose
+# recursion corrupts its 1x1 remainder as well) must be rejected
 for rows in ([["t^2+1"]], [["t^2+1", "t"], ["-t", "2"]]):
     A = PolyMatrix(T, [[parse_poly(e, T) for e in row] for row in rows])
     try:
@@ -331,5 +354,5 @@ def test_certificate_checks_survive_python_O():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "canonicalization certificate fails S* A S = B",
-        "canonical assembly mismatch"]
+        "entry (1,1): -t^2-1 != t^2+1",
+        "not unimodular"]

@@ -7,8 +7,8 @@ import pytest
 from starform.cli import (InputError, format_matrix, format_problem, main,
                           parse_problem)
 from starform.tower import Tower
-from starform.starpoly import parse_poly
-from starform.polymat import PolyMatrix
+from starform.starpoly import StarPoly, parse_poly
+from starform.polymat import CertificateError, PolyMatrix
 
 
 def run_cli(args):
@@ -89,6 +89,25 @@ def test_verify_command(prob_file, tmp_path):
     code, out, _ = run_cli(["verify", prob_file, str(s_file), str(b_file)])
     assert code == 0 and out.strip() == "pass"
 
+    # B is 2x3 or 3x3 with the right top-left 2x2 block: a shape mismatch
+    b_text = b_file.read_text()
+    tower, _, B, _ = parse_problem(b_text)
+    z = StarPoly.zero(tower)
+    wide = [list(row) + [z] for row in B.entries]
+    for rows in (wide, wide + [[z, z, z]]):
+        b_file.write_text(f"p = 5\nA = {format_matrix(PolyMatrix(tower, rows))}\n")
+        code, out, _ = run_cli(["verify", prob_file, str(s_file), str(b_file)])
+        assert code == 1 and out.startswith("fail: shape mismatch")
+    b_file.write_text(b_text)
+
+    # S or B over another prime is an input error, not a reduction mod 5
+    for path in (s_file, b_file):
+        text = path.read_text()
+        path.write_text(text.replace("p = 5", "p = 7"))
+        code, _, err = run_cli(["verify", prob_file, str(s_file), str(b_file)])
+        assert code == 2 and "p = 7 does not match p = 5" in err
+        path.write_text(text)
+
     # unimodular but wrong S: first mismatching entry is reported
     s_file.write_text("p = 5\nA = [ [ 1, 0 ], [ 0, 1 ] ]\n")
     code, out, _ = run_cli(["verify", prob_file, str(s_file), str(b_file)])
@@ -98,6 +117,19 @@ def test_verify_command(prob_file, tmp_path):
     s_file.write_text("p = 5\nA = [ [ t, 0 ], [ 0, 1 ] ]\n")
     code, out, _ = run_cli(["verify", prob_file, str(s_file), str(b_file)])
     assert code == 1 and "not unimodular" in out
+
+
+def test_library_certificate_failure_exits_1(prob_file, monkeypatch, capsys):
+    from starform import cli
+
+    def failing(A, eps):
+        raise CertificateError("entry (1,1): t != 1")
+
+    monkeypatch.setattr(cli, "canonicalize", failing)
+    assert main(["canonical", prob_file]) == 1
+    err = capsys.readouterr().err
+    assert "certificate verification FAILED" in err
+    assert "Traceback" not in err
 
 
 def test_congruent_command(tmp_path):
