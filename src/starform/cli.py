@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .tower import Tower
@@ -163,7 +164,7 @@ def _detect_eps(A: PolyMatrix, declared: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_invariants(args) -> int:
-    tower, eps, A, _ = parse_problem(open(args.file).read())
+    tower, eps, A, _ = parse_problem(Path(args.file).read_text())
     factors = invariant_factors(A)
     parts = []
     for f in factors:
@@ -176,7 +177,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    tower, eps, A, _ = parse_problem(open(args.file).read())
+    tower, eps, A, _ = parse_problem(Path(args.file).read_text())
     eps = _detect_eps(A, eps)
     cert, blocks = canonicalize(A, eps)
     if args.trace:
@@ -191,8 +192,8 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_congruent(args) -> int:
-    tower1, eps1, A, _ = parse_problem(open(args.file_a).read())
-    _, eps2, B, _ = parse_problem(open(args.file_b).read(), tower1)
+    tower1, eps1, A, _ = parse_problem(Path(args.file_a).read_text())
+    _, eps2, B, _ = parse_problem(Path(args.file_b).read_text(), tower1)
     if A.rows != B.rows:
         print("no")
         return 0
@@ -212,9 +213,9 @@ def cmd_congruent(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tower, eps, A, _ = parse_problem(open(args.file_a).read())
-    _, _, S, _ = parse_problem(open(args.file_s).read(), tower)
-    _, _, B, _ = parse_problem(open(args.file_b).read(), tower)
+    tower, eps, A, _ = parse_problem(Path(args.file_a).read_text())
+    _, _, S, _ = parse_problem(Path(args.file_s).read_text(), tower)
+    _, _, B, _ = parse_problem(Path(args.file_b).read_text(), tower)
     try:
         Certificate(S, B).check(A)
     except CertificateError as exc:

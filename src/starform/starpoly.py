@@ -10,7 +10,7 @@ grow the underlying tower.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .tower import FieldElem, Tower
 
@@ -26,15 +26,14 @@ class StarPoly:
     Immutable; the zero polynomial has an empty coefficient tuple.
     """
 
-    __slots__ = ("tower", "coeffs", "_icache")
+    __slots__ = ("tower", "coeffs")
 
     def __init__(self, tower: Tower, coeffs):
-        cs = list(coeffs)
+        cs = tuple(coeffs)
         while cs and cs[-1].is_zero():
-            cs.pop()
+            cs = cs[:-1]
         self.tower = tower
-        self.coeffs = tuple(cs)
-        self._icache = None
+        self.coeffs = cs
 
     # ---------------- constructors ----------------
 
@@ -102,17 +101,6 @@ class StarPoly:
             return self.coeffs[k]
         return self.tower.zero
 
-    def _ints(self) -> Optional[Tuple[int, ...]]:
-        if self._icache is None:
-            out = []
-            for c in self.coeffs:
-                if c.level != 0:
-                    self._icache = False
-                    return None
-                out.append(c.rep)
-            self._icache = tuple(out)
-        return self._icache if self._icache is not False else None
-
     def __eq__(self, other):
         if not isinstance(other, StarPoly):
             return NotImplemented
@@ -129,62 +117,24 @@ class StarPoly:
         return bool(self.coeffs)
 
     # ---------------- ring arithmetic ----------------
+    # thin wrappers over the tower's polynomial kernel
 
     def __add__(self, other: "StarPoly") -> "StarPoly":
-        T = self.tower
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = T.add(out[i], c)
-        return StarPoly(T, out)
+        return StarPoly(self.tower, self.tower.poly_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "StarPoly") -> "StarPoly":
-        return self + (-other)
+        return StarPoly(self.tower, self.tower.poly_sub(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "StarPoly":
-        T = self.tower
-        return StarPoly(T, [T.neg(c) for c in self.coeffs])
+        return StarPoly(self.tower, self.tower.poly_neg(self.coeffs))
 
     def __mul__(self, other):
         T = self.tower
-        if isinstance(other, FieldElem):
-            return StarPoly(T, [T.mul(other, c) for c in self.coeffs])
+        if isinstance(other, StarPoly):
+            return StarPoly(T, T.poly_mul(self.coeffs, other.coeffs))
         if isinstance(other, int):
-            return self * T.elem(other)
-        if self.is_zero() or other.is_zero():
-            return StarPoly.zero(T)
-        ia, ib = self._ints(), other._ints()
-        if ia is not None and ib is not None:
-            p = T.p
-            out = [0] * (len(ia) + len(ib) - 1)
-            for i, x in enumerate(ia):
-                if x:
-                    for j, y in enumerate(ib):
-                        if y:
-                            out[i + j] = (out[i + j] + x * y) % p
-            cache = T._fp_cache
-            return StarPoly(T, [cache[v] for v in out])
-        lv = 0
-        for c in self.coeffs:
-            if c.level > lv:
-                lv = c.level
-        for c in other.coeffs:
-            if c.level > lv:
-                lv = c.level
-        if lv >= 1 and T._table(lv) is None:
-            fused = T.poly_mul_flat(list(self.coeffs), list(other.coeffs), lv)
-            if fused is not None:
-                return StarPoly(T, fused)
-        out = [T.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs):
-                if not y.is_zero():
-                    out[i + j] = T.add(out[i + j], T.mul(x, y))
-        return StarPoly(T, out)
+            other = T.elem(other)
+        return StarPoly(T, T.poly_scale(other, self.coeffs))
 
     __rmul__ = __mul__
 
@@ -200,40 +150,8 @@ class StarPoly:
 
     def __divmod__(self, other: "StarPoly"):
         T = self.tower
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree() < other.degree():
-            return StarPoly.zero(T), self
-        ia, ib = self._ints(), other._ints()
-        if ia is not None and ib is not None:
-            p = T.p
-            binv = pow(ib[-1], p - 2, p)
-            r = list(ia)
-            dq = len(ia) - len(ib)
-            q = [0] * (dq + 1)
-            for k in range(dq, -1, -1):
-                c = (r[k + len(ib) - 1] * binv) % p
-                q[k] = c
-                if c:
-                    for i, g in enumerate(ib):
-                        if g:
-                            r[k + i] = (r[k + i] - c * g) % p
-            cache = T._fp_cache
-            return (StarPoly(T, [cache[v] for v in q]),
-                    StarPoly(T, [cache[v] for v in r[:len(ib) - 1]]))
-        binv = T.inv(other.lc())
-        r = list(self.coeffs)
-        n = len(other.coeffs)
-        dq = len(r) - n
-        q = [T.zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = T.mul(r[k + n - 1], binv)
-            q[k] = c
-            if not c.is_zero():
-                for i, g in enumerate(other.coeffs):
-                    if not g.is_zero():
-                        r[k + i] = T.sub(r[k + i], T.mul(c, g))
-        return StarPoly(T, q), StarPoly(T, r[:n - 1])
+        q, r = T.poly_divmod(self.coeffs, other.coeffs)
+        return StarPoly(T, q), StarPoly(T, r)
 
     def __floordiv__(self, other: "StarPoly") -> "StarPoly":
         return divmod(self, other)[0]
@@ -321,38 +239,7 @@ class StarPoly:
 # ---------------- gcd machinery ----------------
 
 def gcd(a: StarPoly, b: StarPoly) -> StarPoly:
-    ia, ib = a._ints(), b._ints()
-    if ia is not None and ib is not None:
-        T = a.tower
-        p = T.p
-        fa, fb = list(ia), list(ib)
-        while fb:
-            fa, fb = fb, _imod(fa, fb, p)
-        if not fa:
-            return StarPoly.zero(T)
-        inv = pow(fa[-1], p - 2, p)
-        cache = T._fp_cache
-        return StarPoly(T, [cache[(c * inv) % p] for c in fa])
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def _imod(f: List[int], g: List[int], p: int) -> List[int]:
-    if len(f) < len(g):
-        return list(f)
-    ginv = pow(g[-1], p - 2, p)
-    r = list(f)
-    for k in range(len(f) - len(g), -1, -1):
-        c = (r[k + len(g) - 1] * ginv) % p
-        if c:
-            for i, gc in enumerate(g):
-                if gc:
-                    r[k + i] = (r[k + i] - c * gc) % p
-    r = r[:len(g) - 1]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+    return StarPoly(a.tower, a.tower.poly_gcd(a.coeffs, b.coeffs))
 
 
 def gcd_many(polys) -> StarPoly:

@@ -10,6 +10,20 @@ Elements are immutable values.  Operations that may *grow* the tower
 (``find_roots``, ``sqrt``, ``enumerate_scalars``) mutate the Tower and need
 exclusive access to it; everything else is safe to run concurrently on a
 frozen snapshot.
+
+The Tower also owns the one polynomial kernel of the package: the
+``poly_*`` methods add, multiply, divide, take gcds and modular powers of
+coefficient lists (trimmed; zero is ``[]``).  Root finding and factoring
+here, and ``StarPoly`` arithmetic, run on it.  Each call dispatches once on
+the highest coefficient level, to one of three branches:
+
+- level 0: plain ints mod p;
+- an extension level without a Zech table: products in packed F_p
+  coordinates (``poly_mul_flat``);
+- otherwise: schoolbook loops over the tower's field operations.
+
+p must be an odd prime below 2^24, since F_p coordinates are packed into
+24-bit slots.
 """
 
 from __future__ import annotations
@@ -166,27 +180,38 @@ class _LogTable:
 
 _PACK_BITS = 24
 _PACK_MASK = (1 << _PACK_BITS) - 1
+# F_p coordinates travel packed in _PACK_BITS-bit slots (the element cache
+# keys), so they must fit one
+_MAX_P = 1 << _PACK_BITS
 
 
 class _FlatField:
     """Flat F_p-coordinate arithmetic for levels too large to tabulate:
     multiplication uses the D^2 precomputed basis products (rows packed into
     single integers so a product is one fused multiply-add per term), and
-    inversion solves the multiplication-by-a linear system mod p."""
+    inversion solves the multiplication-by-a linear system mod p.
 
-    __slots__ = ("D", "basis_prod", "packed")
+    A packed slot holds sums of unreduced terms a_i b_j (e_i e_j)_k, each
+    below (p-1)^3, and one product of coefficient vectors adds at most D^2
+    of them; ``max_pairs`` is how many such products fit in a slot, 0 when
+    not even one does."""
 
-    def __init__(self, D: int, basis_prod):
+    __slots__ = ("D", "basis_prod", "packed", "max_pairs")
+
+    def __init__(self, D: int, p: int, basis_prod):
         self.D = D
         self.basis_prod = basis_prod  # [i][j] -> coordinate list of e_i e_j
         self.packed = [[sum(v << (_PACK_BITS * k) for k, v in enumerate(row))
                         for row in rows] for rows in basis_prod]
+        self.max_pairs = _PACK_MASK // (D * D * (p - 1) ** 3)
 
 
 class Tower:
     """The algebraic closure of F_p as an append-only tower of extensions."""
 
     def __init__(self, p: int, seed: int = DEFAULT_SEED):
+        if p >= _MAX_P:
+            raise ValueError(f"p must be below 2^{_PACK_BITS}, got {p}")
         if not _is_prime(p) or p == 2:
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
@@ -200,7 +225,6 @@ class Tower:
         self._op_counts: List[int] = [0]
         self._coord_sizes: List[int] = [1]
         self._elem_cache: List[dict] = [{}]
-        self._mt = [[(x * y) % p for y in range(p)] for x in range(p)]
 
     # ---------------- basic constructors ----------------
 
@@ -319,7 +343,7 @@ class Tower:
             prods = [[list(self.fp_coords(self._mul_slow(basis[i], basis[j]),
                                           level))
                       for j in range(D)] for i in range(D)]
-            ff = _FlatField(D, prods)
+            ff = _FlatField(D, self.p, prods)
             flats[level] = ff
         return ff
 
@@ -355,30 +379,31 @@ class Tower:
                 cache[packed] = e
         return e
 
+    def _from_packed(self, level: int, D: int, v: int) -> FieldElem:
+        """The element whose F_p coordinates are v's slots, each mod p."""
+        coords = [0] * D
+        k = 0
+        while v:
+            coords[k] = (v & _PACK_MASK) % self.p
+            v >>= _PACK_BITS
+            k += 1
+        return self._elem_from_flat(level, coords)
+
     def _mul_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
         ff = self._flat(level)
+        if not ff.max_pairs:
+            return self._mul_slow(a, b)
         D = ff.D
-        p = self.p
-        ca = self._flat_coords(a, D)
         cb = self._flat_coords(b, D)
         acc = 0
         packed = ff.packed
-        mt = self._mt
-        for i, ai in enumerate(ca):
-            if not ai:
-                continue
-            rows = packed[i]
-            mrow = mt[ai]
-            for j, bj in enumerate(cb):
-                if bj:
-                    acc += mrow[bj] * rows[j]
-        out = [0] * D
-        k = 0
-        while acc:
-            out[k] = (acc & _PACK_MASK) % p
-            acc >>= _PACK_BITS
-            k += 1
-        return self._elem_from_flat(level, out)
+        for i, ai in enumerate(self._flat_coords(a, D)):
+            if ai:
+                rows = packed[i]
+                for j, bj in enumerate(cb):
+                    if bj:
+                        acc += ai * bj * rows[j]
+        return self._from_packed(level, D, acc)
 
     def _add_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
         D = self.coord_size(level)
@@ -390,15 +415,13 @@ class Tower:
     def poly_mul_flat(self, ca_elems, cb_elems, level: int):
         """Convolution of two coefficient vectors whose entries live at an
         untabled ``level``: the whole product accumulates in packed integer
-        space, materializing only the output coefficients."""
+        space, materializing only the output coefficients.  None when the
+        sums could overflow a packed slot."""
         ff = self._flat(level)
         D = ff.D
-        p = self.p
-        max_pairs = min(len(ca_elems), len(cb_elems))
-        if max_pairs * D * D * (p - 1) * (p - 1) * (p - 1) >= (1 << _PACK_BITS):
+        if min(len(ca_elems), len(cb_elems)) > ff.max_pairs:
             return None
         packed = ff.packed
-        mt = self._mt
         sa = [[(i, c) for i, c in enumerate(self._flat_coords(e, D)) if c]
               for e in ca_elems]
         sb = [[(j, c) for j, c in enumerate(self._flat_coords(e, D)) if c]
@@ -413,20 +436,10 @@ class Tower:
                 tot = 0
                 for i, ai in A_:
                     rows = packed[i]
-                    mrow = mt[ai]
                     for j, bj in B_:
-                        tot += mrow[bj] * rows[j]
+                        tot += ai * bj * rows[j]
                 acc[ia + ib] += tot
-        out = []
-        for v in acc:
-            coords = [0] * D
-            k = 0
-            while v:
-                coords[k] = (v & _PACK_MASK) % p
-                v >>= _PACK_BITS
-                k += 1
-            out.append(self._elem_from_flat(level, coords))
-        return out
+        return [self._from_packed(level, D, v) for v in acc]
 
     def _inv_flat(self, a: FieldElem, level: int) -> FieldElem:
         ff = self._flat(level)
@@ -559,16 +572,13 @@ class Tower:
         # with coefficient arithmetic one level down
         r0 = list(self.levels[lv - 1].minpoly)
         r1 = self._view(a, lv)
-        s0: List[FieldElem] = [self.zero]
+        s0: List[FieldElem] = []
         s1: List[FieldElem] = [self.one]
-        while True:
-            r1 = self._ptrim(r1)
-            if len(r1) == 1:
-                c = self.inv(r1[0])
-                return self._canon(lv, [self.mul(c, x) for x in s1])
-            q, r = self._pdivmod(r0, r1)
+        while len(r1) > 1:
+            q, r = self.poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, self._psub(s0, self._pmul(q, s1))
+            s0, s1 = s1, self.poly_sub(s0, self.poly_mul(q, s1))
+        return self._canon(lv, self.poly_scale(self.inv(r1[0]), s1))
 
     def div(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return self.mul(a, self.inv(b))
@@ -593,82 +603,163 @@ class Tower:
             e >>= 1
         return result
 
-    # -- helper polynomial arithmetic on raw coefficient lists (any levels) --
+    # ---------------- the polynomial kernel ----------------
+    #
+    # Coefficient lists, constant term first and trimmed (nonzero leading
+    # coefficient); the zero polynomial is [].  Apart from poly_trim, no
+    # method mutates its arguments.  The module docstring gives the three
+    # branches of the dispatch.
 
-    def _ptrim(self, f: List[FieldElem]) -> List[FieldElem]:
-        while len(f) > 1 and f[-1].is_zero():
+    @staticmethod
+    def _poly_level(f, g) -> int:
+        lv = 0
+        for c in f:
+            if c.level > lv:
+                lv = c.level
+        for c in g:
+            if c.level > lv:
+                lv = c.level
+        return lv
+
+    def poly_trim(self, f: List[FieldElem]) -> List[FieldElem]:
+        """Drop zero leading coefficients of ``f`` in place; returns ``f``."""
+        while f and f[-1].is_zero():
             f.pop()
-        return f or [self.zero]
+        return f
 
-    def _padd(self, f, g):
-        out = list(f) if len(f) >= len(g) else list(g)
-        small = g if len(f) >= len(g) else f
-        for i, c in enumerate(small):
-            out[i] = self.add(out[i], c)
-        return self._ptrim(out)
+    def poly_add(self, f, g) -> List[FieldElem]:
+        return self._poly_add_sub(f, g, 1)
 
-    def _psub(self, f, g):
-        return self._padd(f, [self.neg(c) for c in g])
+    def poly_sub(self, f, g) -> List[FieldElem]:
+        return self._poly_add_sub(f, g, -1)
 
-    def _pmul(self, f, g):
-        if (len(f) == 1 and f[0].is_zero()) or (len(g) == 1 and g[0].is_zero()):
-            return [self.zero]
+    def _poly_add_sub(self, f, g, sign: int) -> List[FieldElem]:
+        """f + sign * g, sign = +/-1."""
+        if not g:
+            return list(f)
+        if not f:
+            return list(g) if sign > 0 else self.poly_neg(g)
+        out = list(f)
+        out.extend([self.zero] * (len(g) - len(f)))
+        if self._poly_level(f, g) == 0:
+            p, cache = self.p, self._fp_cache
+            for i, c in enumerate(g):
+                out[i] = cache[(out[i].rep + sign * c.rep) % p]
+        else:
+            op = self.add if sign > 0 else self.sub
+            for i, c in enumerate(g):
+                out[i] = op(out[i], c)
+        return self.poly_trim(out)
+
+    def poly_neg(self, f) -> List[FieldElem]:
+        neg = self.neg
+        return [neg(c) for c in f]
+
+    def poly_scale(self, c: FieldElem, f) -> List[FieldElem]:
+        if c.is_zero():
+            return []
+        mul = self.mul
+        return [mul(c, x) for x in f]
+
+    def poly_mul(self, f, g) -> List[FieldElem]:
+        if not f or not g:
+            return []
+        lv = self._poly_level(f, g)
+        if lv == 0:
+            p = self.p
+            b = [y.rep for y in g]
+            out = [0] * (len(f) + len(b) - 1)
+            for i, x in enumerate(f):
+                x = x.rep
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            cache = self._fp_cache
+            return [cache[v % p] for v in out]
+        if self._table(lv) is None:
+            out = self.poly_mul_flat(f, g, lv)
+            if out is not None:
+                return out
+        add, mul = self.add, self.mul
         out = [self.zero] * (len(f) + len(g) - 1)
         for i, x in enumerate(f):
             if x.is_zero():
                 continue
-            for j, y in enumerate(g):
-                if y.is_zero():
-                    continue
-                out[i + j] = self.add(out[i + j], self.mul(x, y))
-        return self._ptrim(out)
+            for j, y in enumerate(g, i):
+                if not y.is_zero():
+                    out[j] = add(out[j], mul(x, y))
+        return out
 
-    def _pdivmod(self, f, g):
-        f = self._ptrim(list(f))
-        g = self._ptrim(list(g))
-        if len(g) == 1 and g[0].is_zero():
+    def _int_divmod(self, a: List[int], b: List[int]):
+        """Quotient and trimmed remainder of int lists mod p (``b`` trimmed,
+        nonzero)."""
+        p = self.p
+        n = len(b)
+        binv = pow(b[-1], p - 2, p)
+        r = list(a)
+        q = [0] * (len(a) - n + 1)
+        for k in range(len(q) - 1, -1, -1):
+            c = (r[k + n - 1] * binv) % p
+            q[k] = c
+            if c:
+                for i, y in enumerate(b, k):
+                    if y:
+                        r[i] -= c * y
+        r = [v % p for v in r[:n - 1]]
+        while r and not r[-1]:
+            r.pop()
+        return q, r
+
+    def poly_divmod(self, f, g) -> Tuple[List[FieldElem], List[FieldElem]]:
+        if not g:
             raise ZeroDivisionError("polynomial division by zero")
+        n = len(g)
+        if len(f) < n:
+            return [], list(f)
+        if self._poly_level(f, g) == 0:
+            q, r = self._int_divmod([c.rep for c in f], [c.rep for c in g])
+            cache = self._fp_cache
+            return [cache[v] for v in q], [cache[v] for v in r]
+        mul, sub = self.mul, self.sub
         ginv = self.inv(g[-1])
-        dq = len(f) - len(g)
-        if dq < 0 or (len(f) == 1 and f[0].is_zero()):
-            return [self.zero], f
-        q = [self.zero] * (dq + 1)
         r = list(f)
-        for k in range(dq, -1, -1):
-            c = self.mul(r[k + len(g) - 1], ginv)
+        q = [self.zero] * (len(f) - n + 1)
+        for k in range(len(q) - 1, -1, -1):
+            c = mul(r[k + n - 1], ginv)
             q[k] = c
             if not c.is_zero():
-                for i, gc in enumerate(g):
-                    r[k + i] = self.sub(r[k + i], self.mul(c, gc))
-        return self._ptrim(q), self._ptrim(r)
+                for i, y in enumerate(g, k):
+                    if not y.is_zero():
+                        r[i] = sub(r[i], mul(c, y))
+        return q, self.poly_trim(r[:n - 1])
 
-    def _pmod(self, f, g):
-        return self._pdivmod(f, g)[1]
+    def poly_mod(self, f, g) -> List[FieldElem]:
+        return self.poly_divmod(f, g)[1]
 
-    def _pgcd(self, f, g):
-        f = self._ptrim(list(f))
-        g = self._ptrim(list(g))
-        while not (len(g) == 1 and g[0].is_zero()):
-            f, g = g, self._pmod(f, g)
-        if len(f) == 1 and f[0].is_zero():
-            return f
-        c = self.inv(f[-1])
-        return [self.mul(c, x) for x in f]
+    def poly_monic(self, f) -> List[FieldElem]:
+        if not f or f[-1].is_one():
+            return list(f)
+        return self.poly_scale(self.inv(f[-1]), f)
 
-    def _pmonic(self, f):
-        f = self._ptrim(list(f))
-        if f[-1].is_one():
-            return f
-        c = self.inv(f[-1])
-        return [self.mul(c, x) for x in f]
+    def poly_gcd(self, f, g) -> List[FieldElem]:
+        """The monic gcd; [] when both are zero."""
+        if self._poly_level(f, g) == 0:
+            a, b = [c.rep for c in f], [c.rep for c in g]
+            while b:
+                a, b = b, self._int_divmod(a, b)[1]
+            f = [self._fp_cache[v] for v in a]
+        else:
+            while g:
+                f, g = g, self.poly_mod(f, g)
+        return self.poly_monic(f)
 
-    def _ppowmod(self, f, e: int, m):
+    def poly_powmod(self, f, e: int, m) -> List[FieldElem]:
         result = [self.one]
-        base = self._pmod(f, m)
+        base = self.poly_mod(f, m)
         while e:
             if e & 1:
-                result = self._pmod(self._pmul(result, base), m)
-            base = self._pmod(self._pmul(base, base), m)
+                result = self.poly_mod(self.poly_mul(result, base), m)
+            base = self.poly_mod(self.poly_mul(base, base), m)
             e >>= 1
         return result
 
@@ -711,7 +802,7 @@ class Tower:
 
     def grow(self, minpoly: Sequence[FieldElem]) -> FieldElem:
         """Append a level with the given monic minimal polynomial; return its root."""
-        mp = self._pmonic(list(minpoly))
+        mp = self.poly_monic(self.poly_trim(list(minpoly)))
         if len(mp) < 3:
             raise ValueError("minimal polynomial must have degree >= 2")
         top = len(self.levels)
@@ -750,36 +841,36 @@ class Tower:
         """All roots of the polynomial with multiplicity, growing the tower as
         needed so the polynomial splits completely.  Deterministic given the
         tower seed."""
-        f = self._ptrim(list(coeffs))
-        if len(f) == 1 and f[0].is_zero():
+        f = self.poly_trim(list(coeffs))
+        if not f:
             raise ValueError("zero polynomial has no well-defined roots")
         if len(f) == 1:
             return []
-        f = self._pmonic(f)
+        f = self.poly_monic(f)
         roots: List[FieldElem] = []
         # squarefree split: stack of (poly, multiplicity)
         stack: List[Tuple[List[FieldElem], int]] = [(f, 1)]
         squarefree: List[Tuple[List[FieldElem], int]] = []
         while stack:
             g, m = stack.pop()
-            g = self._pmonic(g)
+            g = self.poly_monic(g)
             if len(g) == 2:
                 roots.extend([self.neg(g[0])] * m)
                 continue
             if len(g) == 1:
                 continue
             dg = self._pderiv(g)
-            if len(dg) == 1 and dg[0].is_zero():
+            if not dg:
                 # g = h(t^p) = (frobenius-root h)(t)^p in characteristic p
                 h = [self._pth_root(g[i]) for i in range(0, len(g), self.p)]
                 stack.append((h, m * self.p))
                 continue
-            d = self._pgcd(g, dg)
+            d = self.poly_gcd(g, dg)
             if len(d) == 1:
                 squarefree.append((g, m))
             else:
-                q, r = self._pdivmod(g, d)
-                assert len(r) == 1 and r[0].is_zero()
+                q, r = self.poly_divmod(g, d)
+                assert not r
                 stack.append((d, m))
                 stack.append((q, m))
         for g, m in squarefree:
@@ -789,9 +880,8 @@ class Tower:
         return roots
 
     def _pderiv(self, f):
-        if len(f) == 1:
-            return [self.zero]
-        return self._ptrim([self.mul(self.elem(i), f[i]) for i in range(1, len(f))])
+        return self.poly_trim([self.mul(self.elem(i), f[i])
+                               for i in range(1, len(f))])
 
     def _pth_root(self, c: FieldElem) -> FieldElem:
         # Frobenius is an automorphism of every finite level; its inverse on
@@ -805,7 +895,7 @@ class Tower:
         roots: List[FieldElem] = []
         pending = [f]
         while pending:
-            g = self._pmonic(pending.pop())
+            g = self.poly_monic(pending.pop())
             base = max((c.level for c in g), default=0)
             lin, irred = self._factor_over_level(g, base)
             roots.extend(lin)
@@ -858,8 +948,8 @@ class Tower:
         """All roots of h inside the given existing level (h splits there)."""
         q = self.field_order(level)
         x = [self.zero, self.one]
-        v = self._ppowmod(x, q, h)
-        g = self._pgcd(self._psub(v, x), h)
+        v = self.poly_powmod(x, q, h)
+        g = self.poly_gcd(self.poly_sub(v, x), h)
         return [self.neg(c[0])
                 for c in self._equal_degree_split(g, 1, q, level)]
 
@@ -873,23 +963,23 @@ class Tower:
         q = self.field_order(level)
         lin: List[FieldElem] = []
         irred: List[List[FieldElem]] = []
-        f = self._pmonic(list(f))
+        f = self.poly_monic(f)
         x = [self.zero, self.one]
         # distinct-degree factorization
-        v = self._pmod(x, f)
+        v = self.poly_mod(x, f)
         d = 0
         while len(f) - 1 >= 2 * (d + 1):
             d += 1
-            v = self._ppowmod(v, q, f)
-            g = self._pgcd(self._psub(v, x), f)
+            v = self.poly_powmod(v, q, f)
+            g = self.poly_gcd(self.poly_sub(v, x), f)
             if len(g) > 1:
                 for h in self._equal_degree_split(g, d, q, level):
                     if d == 1:
                         lin.append(self.neg(h[0]))
                     else:
                         irred.append(h)
-                f = self._pdivmod(f, g)[0]
-                v = self._pmod(v, f)
+                f = self.poly_divmod(f, g)[0]
+                v = self.poly_mod(v, f)
         if len(f) > 1:
             if len(f) == 2:
                 lin.append(self.neg(f[0]))
@@ -902,7 +992,7 @@ class Tower:
         """Cantor-Zassenhaus split of g into monic irreducibles of degree d
         over the field at ``level``."""
         out: List[List[FieldElem]] = []
-        work = [self._pmonic(list(g))]
+        work = [self.poly_monic(g)]
         e = (q ** d - 1) // 2
         while work:
             h = work.pop()
@@ -910,16 +1000,16 @@ class Tower:
                 out.append(h)
                 continue
             while True:
-                r = [self.random_element(level) for _ in range(len(h) - 1)]
-                r = self._ptrim(r)
-                if len(r) == 1 and r[0].is_zero():
+                r = self.poly_trim([self.random_element(level)
+                                    for _ in range(len(h) - 1)])
+                if not r:
                     continue
-                w = self._ppowmod(r, e, h)
-                w = self._psub(w, [self.one])
-                u = self._pgcd(w, h)
+                w = self.poly_powmod(r, e, h)
+                w = self.poly_sub(w, [self.one])
+                u = self.poly_gcd(w, h)
                 if 1 < len(u) < len(h):
                     work.append(u)
-                    work.append(self._pdivmod(h, u)[0])
+                    work.append(self.poly_divmod(h, u)[0])
                     break
         out.sort(key=lambda h: (len(h), [c.key() for c in h]))
         return out
@@ -931,10 +1021,10 @@ class Tower:
         """Factor a nonzero polynomial into monic irreducibles over the
         smallest level containing its coefficients, with multiplicities.
         Never grows the tower."""
-        f = self._ptrim(list(coeffs))
-        if len(f) == 1 and f[0].is_zero():
+        f = self.poly_trim(list(coeffs))
+        if not f:
             raise ValueError("cannot factor the zero polynomial")
-        f = self._pmonic(f)
+        f = self.poly_monic(f)
         base = max((c.level for c in f), default=0)
         out: List[Tuple[List[FieldElem], int]] = []
 
@@ -948,18 +1038,18 @@ class Tower:
         stack: List[Tuple[List[FieldElem], int]] = [(f, 1)]
         while stack:
             g, m = stack.pop()
-            g = self._pmonic(g)
+            g = self.poly_monic(g)
             if len(g) == 1:
                 continue
             if len(g) == 2:
                 record(g, m)
                 continue
             dg = self._pderiv(g)
-            if len(dg) == 1 and dg[0].is_zero():
+            if not dg:
                 h = [self._pth_root(g[i]) for i in range(0, len(g), self.p)]
                 stack.append((h, m * self.p))
                 continue
-            d = self._pgcd(g, dg)
+            d = self.poly_gcd(g, dg)
             if len(d) == 1:
                 lin, irred = self._factor_over_level(g, base)
                 for root in lin:
@@ -967,8 +1057,8 @@ class Tower:
                 for h in irred:
                     record(h, m)
             else:
-                q, r = self._pdivmod(g, d)
-                assert len(r) == 1 and r[0].is_zero()
+                q, r = self.poly_divmod(g, d)
+                assert not r
                 stack.append((d, m))
                 stack.append((q, m))
         out.sort(key=lambda hm: (len(hm[0]), [c.key() for c in hm[0]]))
@@ -978,7 +1068,7 @@ class Tower:
         """One root of a polynomial irreducible over the level of its
         coefficients; prefers cheap extraction in small existing levels and
         otherwise grows the tower (the new generator is a root)."""
-        h = self._pmonic(self._ptrim(list(coeffs)))
+        h = self.poly_monic(self.poly_trim(list(coeffs)))
         d = len(h) - 1
         if d == 1:
             return self.neg(h[0])

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 
@@ -11,10 +12,14 @@ from starform.starpoly import StarPoly, parse_poly
 from starform.polymat import CertificateError, PolyMatrix
 
 
-def run_cli(args):
-    proc = subprocess.run([sys.executable, "-m", "starform"] + args,
-                          capture_output=True, text=True)
+def run_cli(args, python_flags=(), preexec_fn=None):
+    proc = subprocess.run([sys.executable, *python_flags, "-m", "starform"] + args,
+                          capture_output=True, text=True, preexec_fn=preexec_fn)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 PROB_SKEW = """\
@@ -77,8 +82,11 @@ def test_canonical_command(prob_file, tmp_path):
 
 
 def test_verify_command(prob_file, tmp_path):
+    # python -X dev reports every file left open for the garbage collector
     cert_path = str(tmp_path / "cert.out")
-    run_cli(["canonical", prob_file, "--certificate-out", cert_path])
+    code, _, err = run_cli(["canonical", prob_file, "--certificate-out", cert_path],
+                           python_flags=("-X", "dev"))
+    assert code == 0 and "ResourceWarning" not in err
     lines = open(cert_path).read().splitlines()
     get = lambda key: next(l.split("= ", 1)[1] for l in lines
                            if l.startswith(f"{key} = "))
@@ -86,8 +94,10 @@ def test_verify_command(prob_file, tmp_path):
     b_file = tmp_path / "b.prob"
     s_file.write_text(f"p = 5\nA = {get('S')}\n")
     b_file.write_text(f"p = 5\nA = {get('B')}\n")
-    code, out, _ = run_cli(["verify", prob_file, str(s_file), str(b_file)])
+    code, out, err = run_cli(["verify", prob_file, str(s_file), str(b_file)],
+                             python_flags=("-X", "dev"))
     assert code == 0 and out.strip() == "pass"
+    assert "ResourceWarning" not in err
 
     # B is 2x3 or 3x3 with the right top-left 2x2 block: a shape mismatch
     b_text = b_file.read_text()
@@ -193,6 +203,14 @@ def test_input_error_exit_code(tmp_path):
     bad.write_text("p = 5\nA = [ [ x ] ]\n")
     code, _, err = run_cli(["invariants", str(bad)])
     assert code == 2
+    # the first prime above 2^24: F_p coordinates no longer fit a packed
+    # slot; under a memory limit, since such a Tower once built a p x p table
+    big = tmp_path / "big.prob"
+    big.write_text("p = 16777259\nA = [ [ t ] ]\n")
+    code, _, err = run_cli(["invariants", str(big)],
+                           preexec_fn=_limit_address_space)
+    assert code == 2
+    assert "2^24" in err
 
 
 def test_selftest_quick():

@@ -32,6 +32,81 @@ def rand_poly(T, rng, maxdeg, nonzero=False):
             return p
 
 
+# ---------------- the polynomial kernel ----------------
+
+def _school_trim(f):
+    while f and f[-1].is_zero():
+        f.pop()
+    return f
+
+
+def _school_mul(T, f, g):
+    out = [T.zero] * max(len(f) + len(g) - 1, 0)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = T.add(out[i + j], T.mul(x, y))
+    return _school_trim(out)
+
+
+def _school_divmod(T, f, g):
+    r = list(f)
+    q = [T.zero] * max(len(f) - len(g) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = T.mul(r[k + len(g) - 1], T.inv(g[-1]))
+        q[k] = c
+        for i, y in enumerate(g):
+            r[k + i] = T.add(r[k + i], T.neg(T.mul(c, y)))
+    return _school_trim(q), _school_trim(r[:len(g) - 1])
+
+
+def _school_gcd(T, f, g):
+    while g:
+        f, g = g, _school_divmod(T, f, g)[1]
+    return [T.mul(T.inv(f[-1]), c) for c in f] if f else f
+
+
+def _kernel_towers():
+    """(tower, level): F_5 (int arithmetic), F_81 with its Zech table built,
+    and F_{5^8}, beyond the table limit (packed flat products)."""
+    prime = Tower(5)
+    tabled = Tower(3)
+    tabled.grow_quadratic()
+    tabled.grow_quadratic()
+    for _ in range(81):
+        if tabled._table(2) is not None:
+            break
+    assert tabled._table(2) is not None
+    flat = Tower(5)
+    for _ in range(3):
+        flat.grow_quadratic()
+    assert flat._table(3) is None
+    return [(prime, 0), (tabled, 2), (flat, 3)]
+
+
+def test_kernel_matches_schoolbook():
+    rng = random.Random(17)
+    for T, lv in _kernel_towers():
+        def rand(maxdeg):
+            return StarPoly(T, [T.random_element(rng.randint(0, lv), rng)
+                                for _ in range(rng.randint(0, maxdeg + 1))])
+        for trial in range(60):
+            a, b = rand(6), rand(4)
+            if trial % 3 == 0:  # a common factor makes the gcd nontrivial
+                c = rand(2)
+                a, b = a * c, b * c
+            assert list((a * b).coeffs) == _school_mul(T, list(a.coeffs), list(b.coeffs))
+            if b.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    divmod(a, b)
+            else:
+                q, r = divmod(a, b)
+                assert q * b + r == a and r.degree() < b.degree()
+                assert (list(q.coeffs), list(r.coeffs)) == \
+                    _school_divmod(T, list(a.coeffs), list(b.coeffs))
+            assert list(gcd(a, b).coeffs) == \
+                _school_gcd(T, list(a.coeffs), list(b.coeffs))
+
+
 # ---------------- star and parity ----------------
 
 def test_star_examples():

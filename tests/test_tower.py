@@ -1,8 +1,14 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
 from starform.tower import Tower
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_prime_field_arithmetic():
@@ -82,8 +88,8 @@ def test_find_roots_reproduces_polynomial():
         # multiply the linear factors back together
         prod = [coeffs[-1]]
         for r in roots:
-            prod = T._pmul(prod, [T.neg(r), T.one])
-        assert prod == T._ptrim(list(coeffs))
+            prod = T.poly_mul(prod, [T.neg(r), T.one])
+        assert prod == T.poly_trim(list(coeffs))
 
 
 def test_minimal_polynomials_stay_irreducible():
@@ -168,20 +174,47 @@ def test_field_axioms_mixed_levels():
             assert x * T.inv(x) == T.one
 
 
+def _tower_with_binomial_level(p, d):
+    """Tower(p) grown by t^d - c, c the largest residue that is not a d-th
+    power (d prime, p = 1 mod d), so basis products have large coordinates."""
+    T = Tower(p)
+    c = next(c for c in range(p - 1, 1, -1) if pow(c, (p - 1) // d, p) != 1)
+    T.grow([T.elem(-c)] + [T.zero] * (d - 1) + [T.one])
+    return T
+
+
 def test_flat_level_matches_slow_arithmetic():
     T = Tower(5)
-    T.grow_quadratic()
-    T.grow_quadratic()
-    T.grow_quadratic()  # order 5^8, beyond the Zech table limit
-    lv = T.num_levels()
-    rng = random.Random(3)
-    es = [T.random_element(lv, rng) for _ in range(5)] + [T.zero, T.one]
-    for x in es:
-        for y in es:
-            assert T.mul(x, y) == T._mul_slow(x, y)
-            if not y.is_zero():
-                assert T.mul(T.inv(y), y) == T.one
-                assert T.inv(y) == T._inv_euclid(y) if y.level == lv else True
+    for _ in range(3):
+        T.grow_quadratic()  # order 5^8, beyond the Zech table limit
+    # then primes whose packed flat products overflowed a 24-bit slot and
+    # came out wrong
+    for T in (T, _tower_with_binomial_level(4099, 3),
+              _tower_with_binomial_level(8191, 2)):
+        lv = T.num_levels()
+        rng = random.Random(3)
+        es = [T.random_element(lv, rng) for _ in range(5)] + [T.zero, T.one]
+        for x in es:
+            for y in es:
+                assert T.mul(x, y) == T._mul_slow(x, y)
+                if not y.is_zero():
+                    assert T.mul(T.inv(y), y) == T.one
+                    assert T.inv(y) == T._inv_euclid(y) if y.level == lv else True
+
+
+def test_large_prime_builds_no_product_table():
+    # Tower(65537) once built a p x p product table and ran out of memory; a
+    # 1 GiB address-space limit on the child makes a regression fail here
+    code = ("from starform.tower import Tower\n"
+            "T = Tower(65537)\n"
+            "x = T.grow_quadratic() + T.elem(65000)\n"
+            "assert T.mul(x, x) == T._mul_slow(x, x)\n"
+            "assert T.mul(x, T.inv(x)) == T.one\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_embedding_stability_across_growth():
