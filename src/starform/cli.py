@@ -9,7 +9,7 @@ Problem file format (line oriented, diffable):
     A = [ [ 0, t ], [ t, t^3 ] ]
 
 Exit codes: 0 success, 1 a certificate failed its check (in `verify` or in
-the library), 2 input error.
+the library) or a `selftest` check failed, 2 input error.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ from .randgen import RandomSpec, generate
 
 class InputError(Exception):
     pass
+
+
+class SelftestError(Exception):
+    """A selftest check failed; the message names the check."""
+
+
+def _check(ok: bool, what: str) -> None:
+    # raises rather than asserts, so the checks also run under python -O
+    if not ok:
+        raise SelftestError(what)
 
 
 def _strip_comment(line: str) -> str:
@@ -269,9 +279,9 @@ def cmd_selftest(args) -> int:
     T = Tower(5)
     while n_star < 2000 and not timed_out():
         a, b = rand_poly(T, 6), rand_poly(T, 6)
-        assert (a * b).star() == a.star() * b.star()
-        assert (a + b).star() == a.star() + b.star()
-        assert a.star().star() == a
+        _check((a * b).star() == a.star() * b.star(), "star: (ab)* = a* b*")
+        _check((a + b).star() == a.star() + b.star(), "star: (a+b)* = a* + b*")
+        _check(a.star().star() == a, "star: a** = a")
         n_star += 1
     report.append(f"star automorphism: {n_star} samples ok")
 
@@ -285,10 +295,10 @@ def cmd_selftest(args) -> int:
         be, bo = b.even_part(), b.odd_part()
         if not be.is_zero():
             x = solve_norm_equation(a, be, "+")
-            assert a * x + a.star() * x.star() == be
+            _check(a * x + a.star() * x.star() == be, "norm equation a x + a* x* = b")
         if not bo.is_zero():
             x = solve_norm_equation(a, bo, "-")
-            assert a * x - a.star() * x.star() == bo
+            _check(a * x - a.star() * x.star() == bo, "norm equation a x - a* x* = b")
         n_norm += 1
     report.append(f"norm equations: {n_norm} samples ok")
 
@@ -300,7 +310,7 @@ def cmd_selftest(args) -> int:
             continue
         y = z * z.star()
         w = norm_factor(y)
-        assert w * w.star() == y
+        _check(w * w.star() == y, "norm factorization w w* = y")
         n_fac += 1
     report.append(f"norm factorization: {n_fac} samples ok")
 
@@ -313,8 +323,8 @@ def cmd_selftest(args) -> int:
         A = PolyMatrix(Ti, [[rand_poly(Ti, 3) for _ in range(n)]
                             for _ in range(n)])
         sf = smith_form(A)
-        assert (sf.U @ A) @ sf.V == sf.D
-        assert invf(A) == sf.factors
+        _check((sf.U @ A) @ sf.V == sf.D, "smith form U A V = D")
+        _check(invf(A) == sf.factors, "invariant factors = smith factors")
         n_smith += 1
     report.append(f"smith round-trip: {n_smith} samples ok")
 
@@ -325,8 +335,8 @@ def cmd_selftest(args) -> int:
                           max_degree=4, moves=5)
         inst = generate(spec)
         cert, blocks = canonicalize(inst.A, spec.eps)
-        assert cert.verify(inst.A)
-        assert invf(cert.B) == invf(inst.C)
+        _check(cert.verify(inst.A), "canonicalize certificate S* A S = B")
+        _check(invf(cert.B) == invf(inst.C), "canonical form keeps invariant factors")
         n_canon += 1
     report.append(f"canonicalize round-trip: {n_canon} instances ok")
 
@@ -394,6 +404,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except CertificateError as exc:
         print(f"certificate verification FAILED: {exc}", file=sys.stderr)
+        return 1
+    except SelftestError as exc:
+        print(f"selftest FAILED: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

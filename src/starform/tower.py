@@ -14,13 +14,16 @@ frozen snapshot.
 The Tower also owns the one polynomial kernel of the package: the
 ``poly_*`` methods add, multiply, divide, take gcds and modular powers of
 coefficient lists (trimmed; zero is ``[]``).  Root finding and factoring
-here, and ``StarPoly`` arithmetic, run on it.  Each call dispatches once on
-the highest coefficient level, to one of three branches:
+here, and ``StarPoly`` arithmetic, run on it.  Field operations and each
+kernel call dispatch once on the highest level involved, to one of two
+branches:
 
 - level 0: plain ints mod p;
-- an extension level without a Zech table: products in packed F_p
-  coordinates (``poly_mul_flat``);
-- otherwise: schoolbook loops over the tower's field operations.
+- an extension level: packed F_p coordinates over the flattened field
+  (``_FlatField``; ``poly_mul_flat`` for products of polynomials).  Where a
+  product's sums could overflow a packed slot, it falls back to schoolbook
+  loops (``_mul_slow`` for field elements, the generic loop in
+  ``poly_mul``).
 
 p must be an odd prime below 2^24, since F_p coordinates are packed into
 24-bit slots.
@@ -65,14 +68,13 @@ class FieldElem:
     unique, so equality and hashing are structural.
     """
 
-    __slots__ = ("tower", "level", "rep", "_key", "_cint")
+    __slots__ = ("tower", "level", "rep", "_key")
 
     def __init__(self, tower: "Tower", level: int, rep):
         self.tower = tower
         self.level = level
         self.rep = rep
         self._key = None
-        self._cint = None
 
     # -- canonical order key: level-major, then F_p coordinates --
 
@@ -160,22 +162,10 @@ class FieldElem:
         return f"FieldElem({self})"
 
 
-_TABLE_LIMIT = 1 << 16
-_TABLE_TOO_BIG = "too big"
-
-
-class _LogTable:
-    """Zech-logarithm tables for one finite level: all field operations at
-    that level become O(1) integer arithmetic plus lookups."""
-
-    __slots__ = ("q", "exp", "log", "zech", "half")
-
-    def __init__(self, q: int, exp, log, zech):
-        self.q = q
-        self.exp = exp          # exponent -> canonical FieldElem
-        self.log = log          # packed-coordinate int -> exponent
-        self.zech = zech        # k -> log(1 + g^k), None when 1 + g^k = 0
-        self.half = (q - 1) // 2  # log(-1)
+# find_one_root takes a root from an existing level only when that level
+# has at most this many elements; otherwise it grows a new level.  Which
+# levels exist shows in canonical output, so changing it changes outputs.
+_ROOT_SEARCH_LIMIT = 1 << 16
 
 
 _PACK_BITS = 24
@@ -186,10 +176,10 @@ _MAX_P = 1 << _PACK_BITS
 
 
 class _FlatField:
-    """Flat F_p-coordinate arithmetic for levels too large to tabulate:
-    multiplication uses the D^2 precomputed basis products (rows packed into
-    single integers so a product is one fused multiply-add per term), and
-    inversion solves the multiplication-by-a linear system mod p.
+    """Flat F_p-coordinate arithmetic for one extension level of F_p-dimension
+    D: multiplication uses the D^2 precomputed basis products (rows packed
+    into single integers so a product is one fused multiply-add per term),
+    and inversion solves the multiplication-by-a linear system mod p.
 
     A packed slot holds sums of unreduced terms a_i b_j (e_i e_j)_k, each
     below (p-1)^3, and one product of coefficient vectors adds at most D^2
@@ -220,9 +210,7 @@ class Tower:
         self._fp_cache = [FieldElem(self, 0, n) for n in range(p)]
         self.zero = self._fp_cache[0]
         self.one = self._fp_cache[1]
-        self._tables: List = [None]
         self._flats: List = [None]
-        self._op_counts: List[int] = [0]
         self._coord_sizes: List[int] = [1]
         self._elem_cache: List[dict] = [{}]
 
@@ -268,67 +256,7 @@ class Tower:
             return list(a.rep)
         return [a]
 
-    # ---------------- log-table acceleration ----------------
-
-    def cint(self, a: FieldElem) -> int:
-        """Packed base-p coordinate integer; valid at every level >= a.level."""
-        v = a._cint
-        if v is None:
-            v = 0
-            for d in reversed(a.key()[1]):
-                v = v * self.p + d
-            a._cint = v
-        return v
-
-    def _table(self, level: int) -> Optional[_LogTable]:
-        tabs = self._tables
-        while len(tabs) <= level:
-            tabs.append(None)
-        tab = tabs[level]
-        if tab is not None:
-            return None if tab is _TABLE_TOO_BIG else tab
-        q = self.field_order(level)
-        if q > _TABLE_LIMIT:
-            tabs[level] = _TABLE_TOO_BIG
-            return None
-        # only invest in the Zech table once this level is hot enough for
-        # the O(q) build to pay off; the flat path covers it meanwhile
-        counts = self._op_counts
-        while len(counts) <= level:
-            counts.append(0)
-        counts[level] += 1
-        if counts[level] * 6 < q:
-            return None
-        tab = self._build_table(level, q)
-        tabs[level] = tab
-        return tab
-
-    def _build_table(self, level: int, q: int) -> _LogTable:
-        one = self.one
-        while True:
-            g = self.random_element(level)
-            if g.is_zero():
-                continue
-            exp = [one]
-            e = one
-            ok = True
-            for _ in range(q - 2):
-                e = self._mul_flat(e, g, level)
-                if e.is_one():
-                    ok = False
-                    break
-                exp.append(e)
-            if not ok:
-                continue
-            if not self._mul_flat(e, g, level).is_one():
-                continue
-            log = {self.cint(x): i for i, x in enumerate(exp)}
-            zech = [None] * (q - 1)
-            for k in range(q - 1):
-                s = self._add_flat(one, exp[k], level)
-                if not s.is_zero():
-                    zech[k] = log[self.cint(s)]
-            return _LogTable(q, exp, log, zech)
+    # ---------------- flat F_p-coordinate arithmetic ----------------
 
     def _flat(self, level: int) -> _FlatField:
         flats = self._flats
@@ -413,8 +341,8 @@ class Tower:
         return self._elem_from_flat(level, [(x + y) % p for x, y in zip(ca, cb)])
 
     def poly_mul_flat(self, ca_elems, cb_elems, level: int):
-        """Convolution of two coefficient vectors whose entries live at an
-        untabled ``level``: the whole product accumulates in packed integer
+        """Convolution of two coefficient vectors whose entries live at the
+        extension ``level``: the whole product accumulates in packed integer
         space, materializing only the output coefficients.  None when the
         sums could overflow a packed slot."""
         ff = self._flat(level)
@@ -490,15 +418,7 @@ class Tower:
             return b
         if b.level == 0 and b.rep == 0:
             return a
-        tab = self._table(lv)
-        if tab is None:
-            return self._add_flat(a, b, lv)
-        ia = tab.log[self.cint(a)]
-        ib = tab.log[self.cint(b)]
-        z = tab.zech[(ib - ia) % (tab.q - 1)]
-        if z is None:
-            return self.zero
-        return tab.exp[(ia + z) % (tab.q - 1)]
+        return self._add_flat(a, b, lv)
 
     def sub(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return self.add(a, self.neg(b))
@@ -506,26 +426,16 @@ class Tower:
     def neg(self, a: FieldElem) -> FieldElem:
         if a.level == 0:
             return self._fp_cache[(-a.rep) % self.p]
-        tab = self._table(a.level)
-        if tab is not None:
-            ia = tab.log[self.cint(a)]
-            return tab.exp[(ia + tab.half) % (tab.q - 1)]
-        return self._canon(a.level, [self.neg(c) for c in a.rep])
+        p = self.p
+        return self._elem_from_flat(a.level, [(-c) % p for c in a.key()[1]])
 
     def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
         lv = a.level if a.level >= b.level else b.level
         if lv == 0:
             return self._fp_cache[(a.rep * b.rep) % self.p]
-        tab = self._table(lv)
-        if tab is None:
-            if (a.level == 0 and a.rep == 0) or (b.level == 0 and b.rep == 0):
-                return self.zero
-            return self._mul_flat(a, b, lv)
         if (a.level == 0 and a.rep == 0) or (b.level == 0 and b.rep == 0):
             return self.zero
-        ia = tab.log[self.cint(a)]
-        ib = tab.log[self.cint(b)]
-        return tab.exp[(ia + ib) % (tab.q - 1)]
+        return self._mul_flat(a, b, lv)
 
     def _mul_slow(self, a: FieldElem, b: FieldElem) -> FieldElem:
         lv = a.level if a.level >= b.level else b.level
@@ -560,10 +470,6 @@ class Tower:
             raise ZeroDivisionError("field inverse of zero")
         if a.level == 0:
             return self._fp_cache[pow(a.rep, self.p - 2, self.p)]
-        tab = self._table(a.level)
-        if tab is not None:
-            ia = tab.log[self.cint(a)]
-            return tab.exp[(-ia) % (tab.q - 1)]
         return self._inv_flat(a, a.level)
 
     def _inv_euclid(self, a: FieldElem) -> FieldElem:
@@ -590,10 +496,6 @@ class Tower:
             return self.one
         if a.level == 0:
             return self._fp_cache[pow(a.rep, e, self.p)]
-        tab = self._table(a.level)
-        if tab is not None:
-            ia = tab.log[self.cint(a)]
-            return tab.exp[(ia * e) % (tab.q - 1)]
         result = self.one
         base = a
         while e:
@@ -607,7 +509,7 @@ class Tower:
     #
     # Coefficient lists, constant term first and trimmed (nonzero leading
     # coefficient); the zero polynomial is [].  Apart from poly_trim, no
-    # method mutates its arguments.  The module docstring gives the three
+    # method mutates its arguments.  The module docstring gives the two
     # branches of the dispatch.
 
     @staticmethod
@@ -676,10 +578,9 @@ class Tower:
                         out[j] += x * y
             cache = self._fp_cache
             return [cache[v % p] for v in out]
-        if self._table(lv) is None:
-            out = self.poly_mul_flat(f, g, lv)
-            if out is not None:
-                return out
+        out = self.poly_mul_flat(f, g, lv)
+        if out is not None:
+            return out
         add, mul = self.add, self.mul
         out = [self.zero] * (len(f) + len(g) - 1)
         for i, x in enumerate(f):
@@ -1076,7 +977,7 @@ class Tower:
         unit = self.coord_size(base) * d
         for lv in range(base + 1, len(self.levels) + 1):
             if self.coord_size(lv) % unit == 0 \
-                    and self.field_order(lv) <= _TABLE_LIMIT:
+                    and self.field_order(lv) <= _ROOT_SEARCH_LIMIT:
                 roots = self._roots_in_level(h, lv)
                 roots.sort(key=lambda r: r.key())
                 return roots[0]

@@ -217,3 +217,25 @@ def test_selftest_quick():
     code, out, _ = run_cli(["selftest", "--budget-seconds", "5", "--seed", "4"])
     assert code == 0
     assert "selftest passed" in out
+
+
+_WRONG_STAR_UNDER_O = """
+import sys
+if __debug__:
+    sys.exit("not running under python -O")
+from starform import cli
+from starform.starpoly import StarPoly
+
+good = StarPoly.star
+StarPoly.star = lambda self: good(self) + StarPoly.one(self.tower)
+sys.exit(cli.main(["selftest", "--budget-seconds", "5", "--seed", "4"]))
+"""
+
+
+def test_selftest_fails_under_python_O():
+    # a broken law must fail the selftest even with asserts compiled out
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_STAR_UNDER_O],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("selftest FAILED: star: "), proc.stderr
+    assert "passed" not in proc.stdout

@@ -183,18 +183,30 @@ def _tower_with_binomial_level(p, d):
     return T
 
 
+def _quadratic_tower(p, levels):
+    T = Tower(p)
+    for _ in range(levels):
+        T.grow_quadratic()
+    return T
+
+
 def test_flat_level_matches_slow_arithmetic():
-    T = Tower(5)
-    for _ in range(3):
-        T.grow_quadratic()  # order 5^8, beyond the Zech table limit
-    # then primes whose packed flat products overflowed a 24-bit slot and
-    # came out wrong
-    for T in (T, _tower_with_binomial_level(4099, 3),
-              _tower_with_binomial_level(8191, 2)):
+    # small levels F_9, F_25, F_49 and F_81 (two quadratic levels), the
+    # three-level F_{5^8}, then primes whose packed flat products overflowed
+    # a 24-bit slot and came out wrong
+    towers = [_quadratic_tower(3, 1), _quadratic_tower(5, 1),
+              _quadratic_tower(7, 1), _quadratic_tower(3, 2),
+              _quadratic_tower(5, 3), _tower_with_binomial_level(4099, 3),
+              _tower_with_binomial_level(8191, 2)]
+    for T in towers:
         lv = T.num_levels()
+        q = T.field_order(lv)
         rng = random.Random(3)
         es = [T.random_element(lv, rng) for _ in range(5)] + [T.zero, T.one]
         for x in es:
+            assert T.add(x, T.neg(x)) == T.zero
+            if not x.is_zero():
+                assert T.pow(x, q - 1) == T.one
             for y in es:
                 assert T.mul(x, y) == T._mul_slow(x, y)
                 if not y.is_zero():
