@@ -39,6 +39,13 @@ class ReductionError(RuntimeError):
     """A reduction failed to make progress; indicates an invariant violation."""
 
 
+def _require(ok: bool, what: str) -> None:
+    """A reduction's check on its own result: raise ReductionError unless
+    ``ok``.  Unlike ``assert`` it also runs under ``python -O``."""
+    if not ok:
+        raise ReductionError(what)
+
+
 def _basis_vector(tower: Tower, n: int, i: int, value: Optional[StarPoly] = None):
     v = [StarPoly.zero(tower)] * n
     v[i] = value if value is not None else StarPoly.one(tower)
@@ -149,7 +156,7 @@ def isotropic_vector(A: PolyMatrix, kind: int) -> List[StarPoly]:
     g = vector_gcd(v)
     if not g.is_one():
         v = [e.exact_div(g) for e in v]
-    assert form_value(A, v, v).is_zero()
+    _require(form_value(A, v, v).is_zero(), "isotropic vector is not isotropic")
     return v
 
 
@@ -159,7 +166,8 @@ def _isotropic_to_corner(red: Reduction, kind: int) -> None:
         return
     v = isotropic_vector(red.B, kind)
     red.apply(unimodular_completion(v))
-    assert red.B.entries[0][0].is_zero()
+    _require(red.B.entries[0][0].is_zero(),
+             "isotropic completion left a nonzero corner")
 
 
 def _reduce_row_tail(red: Reduction, target: int) -> None:
@@ -212,8 +220,9 @@ def _homogeneous_bezout(a0: StarPoly, b: StarPoly) -> Tuple[StarPoly, StarPoly]:
         # a0(0) != 0 is forced here (else a0 x + b y = 1 fails at 0)
         x = x - b
         y = y + a0
-    assert (a0 * x + b * y).is_one()
-    assert y.parity() in (EVEN,) and not y.eval(T.zero).is_zero()
+    _require((a0 * x + b * y).is_one(), "homogeneous Bezout identity failed")
+    _require(y.parity() in (EVEN,) and not y.eval(T.zero).is_zero(),
+             "homogeneous Bezout cofactor is not even with y(0) != 0")
     return x, y
 
 
@@ -440,7 +449,7 @@ def _unit_vector_2x2(red: Reduction) -> List[StarPoly]:
     z = norm_factor_avoiding(y, a1)
     w = solve_norm_equation(a1 * z, StarPoly.one(T), "+")
     u = [x.star() * w.star(), z]
-    assert form_value(red.B, u, u).is_one()
+    _require(form_value(red.B, u, u).is_one(), "2x2 unit vector does not represent 1")
     return u
 
 
@@ -462,7 +471,8 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
         if _total_degree(comp.B) < _total_degree(A):
             v1 = represent_one(comp.B)
             v = apply_matrix(comp.S, v1)
-            assert form_value(A, v, v).is_one()
+            _require(form_value(A, v, v).is_one(),
+                     "represent_one vector does not represent 1")
             return v
     if determinant(A).is_zero():
         cert = kernel_split(A)
@@ -474,7 +484,8 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
         v1 = represent_one(core)
         v = [StarPoly.zero(T)] * k + v1
         v = apply_matrix(cert.S, v)
-        assert form_value(A, v, v).is_one()
+        _require(form_value(A, v, v).is_one(),
+                 "represent_one vector does not represent 1")
         return v
     if n == 1:
         c = A.entries[0][0].constant_value()
@@ -491,7 +502,8 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
     if n == 2:
         u = _unit_vector_2x2(red)
         v = apply_matrix(red.S, u)
-        assert form_value(A, v, v).is_one()
+        _require(form_value(A, v, v).is_one(),
+                 "represent_one vector does not represent 1")
         return v
     _reduce_row_tail(red, n - 1)
     # scan lambda until the trailing (n-1)-block of the shifted matrix has
@@ -531,12 +543,13 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
     red.transvection(0, 1, lam_poly)
     sub = red.B.submatrix(range(1, n), range(1, n))
     sub_g, _ = gcd_of_matrix(sub)
-    assert sub_g.is_one()
+    _require(sub_g.is_one(), "lambda scan left a trailing block with gcd != 1")
     comp = compress_form(sub)
     v1 = represent_one(comp.B)
     v1 = apply_matrix(comp.S, v1)
     v = apply_matrix(red.S, [StarPoly.zero(T)] + v1)
-    assert form_value(A, v, v).is_one()
+    _require(form_value(A, v, v).is_one(),
+             "represent_one vector does not represent 1")
     return v
 
 
@@ -563,9 +576,9 @@ def split_one(A: PolyMatrix, v: Sequence[StarPoly]) -> Certificate:
         if not q.is_zero():
             red.transvection(0, j, -q)
     cert = red.certificate()
-    assert cert.B.entries[0][0].is_one()
-    assert all(cert.B.entries[0][j].is_zero() and cert.B.entries[j][0].is_zero()
-               for j in range(1, n))
+    _require(cert.B.entries[0][0].is_one()
+             and all(cert.B.entries[0][j].is_zero() and cert.B.entries[j][0].is_zero()
+                     for j in range(1, n)), "split_one did not split off (1)")
     return cert
 
 
@@ -587,7 +600,8 @@ def her2_diagonalize(A: PolyMatrix) -> Certificate:
     red.B = cert.B
     c = determinant(red.S).constant_value()
     red.scale_col(1, StarPoly.const(T, T.inv(c)))
-    assert red.B == PolyMatrix.diagonal(T, [StarPoly.one(T), detA])
+    _require(red.B == PolyMatrix.diagonal(T, [StarPoly.one(T), detA]),
+             "her2_diagonalize did not reach diag(1, det A)")
     return red.certificate()
 
 
@@ -639,7 +653,7 @@ def sk2_zero_diagonal(A: PolyMatrix) -> Certificate:
         p = StarPoly.zero(T)
     else:
         g2, u1, _ = gcd_bezout(a1.star(), cx)
-        assert g2.is_one()
+        _require(g2.is_one(), "a1* and c x are not coprime")
         v_ = u1 * e
         if cx.degree() > 0:
             v_ = v_ % cx
@@ -650,14 +664,14 @@ def sk2_zero_diagonal(A: PolyMatrix) -> Certificate:
     z_ = w + c.star() * (p + a1 * q.star())
     S2 = PolyMatrix(T, [[cx, y_], [a1.star() * c.star(), z_]])
     det2 = determinant(S2)
-    assert det2.is_one(), "sk2 transform is not in SL_2"
+    _require(det2.is_one(), "sk2 transform is not in SL_2")
     r = a1 * c * c
     N = PolyMatrix(T, [[StarPoly.zero(T), r],
                        [-r.star(), StarPoly.zero(T)]])
-    assert (S2.star_transpose() @ N) @ S2 == red.B, "sk2 identity failed"
+    _require((S2.star_transpose() @ N) @ S2 == red.B, "sk2 identity failed")
     S2inv = PolyMatrix(T, [[z_, -y_], [-(a1.star() * c.star()), cx]])
     red.apply(S2inv)
-    assert red.B == N
+    _require(red.B == N, "sk2_zero_diagonal did not reach a zero diagonal")
     return red.certificate()
 
 
@@ -715,7 +729,7 @@ def block_swap(f: StarPoly, f_new: StarPoly) -> Certificate:
         aa = a * a.star()
         bb = b * b.star()
         g, X, Y = even_bezout(bb, aa)
-        assert g.is_one()
+        _require(g.is_one(), "block swap norm factors are not coprime")
         x, y = X, -Y
         # S* [[0, ab*],[-a*b, 0]] S = [[0, ab],[-a*b*, 0]] with this S
         S_lem = PolyMatrix(T, [[b.star() * x, a * y], [a.star(), b]])
@@ -724,9 +738,9 @@ def block_swap(f: StarPoly, f_new: StarPoly) -> Certificate:
         cur = red.B.entries[0][1]
     scale = cur.exact_div(f_new)
     if not scale.is_one():
-        assert scale.degree() == 0
+        _require(scale.degree() == 0, "block swap scale is not a constant")
         red.scale_col(1, StarPoly.const(T, T.inv(scale.constant_value())))
-    assert red.B == _skew_block(f_new)
+    _require(red.B == _skew_block(f_new), "block swap did not reach the target block")
     return red.certificate()
 
 
@@ -788,7 +802,8 @@ class _PivotSearch:
         if not g.is_one():
             v = [e.exact_div(g) for e in v]
         self.red.apply(unimodular_completion(list(v)))
-        assert self.red.B.entries[0][0].is_zero()
+        _require(self.red.B.entries[0][0].is_zero(),
+                 "isotropic completion left a nonzero corner")
         _reduce_row_tail(self.red, 1)
 
     def _improves(self, v: Sequence[StarPoly], m: int) -> bool:
@@ -884,7 +899,8 @@ def _dx_descent(red: Reduction) -> None:
             dtry = gcd_many([g, g.star(), cand])
             if dtry.degree() < d.degree():
                 red.transvection(s, 1, lp * x)
-                assert red.B.entries[1][1] == cand
+                _require(red.B.entries[1][1] == cand,
+                         "lambda-scan move disagrees with its candidate")
                 return True
         return False
 
@@ -974,7 +990,8 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
     if n == 2:
         cert = sk2_zero_diagonal(A)
         f = cert.B.entries[0][1]
-        assert is_pure(f) and f.degree() == nu
+        _require(is_pure(f) and f.degree() == nu,
+                 "skew split f is not pure of degree nu")
         return SkewSplitResult(cert, f, nu, PolyMatrix.zeros(T, 0, 0))
     f_target = canonical_pure_factor(f2)
     red = Reduction(A)
@@ -988,7 +1005,7 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
     c2 = sk2_zero_diagonal(corner)
     red.embed(c2.S, 0)
     f = red.B.entries[0][1]
-    assert is_pure(f) and f.degree() == nu
+    _require(is_pure(f) and f.degree() == nu, "skew split f is not pure of degree nu")
     # minimality of nu forces f | row 0 and f* | row 1 against the rest
     for j in range(2, n):
         e = red.B.entries[0][j]
@@ -1001,8 +1018,9 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
             red.transvection(0, j, e.exact_div(fs))
     B = red.B
     for j in range(2, n):
-        assert B.entries[0][j].is_zero() and B.entries[1][j].is_zero()
-        assert B.entries[j][0].is_zero() and B.entries[j][1].is_zero()
+        _require(B.entries[0][j].is_zero() and B.entries[1][j].is_zero()
+                 and B.entries[j][0].is_zero() and B.entries[j][1].is_zero(),
+                 "skew split left entries beside the 2x2 block")
     D = B.submatrix(range(2, n), range(2, n))
     ffs = f * fs
     for row in D.entries:
@@ -1010,5 +1028,5 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
             if not (e % ffs).is_zero():
                 raise ReductionError("f f* fails to divide the complement")
     q, rem = divmod(f2, ffs)
-    assert rem.is_zero() and q.degree() == 0
+    _require(rem.is_zero() and q.degree() == 0, "f f* is not f2 up to a unit")
     return SkewSplitResult(red.certificate(), f, nu, D)

@@ -104,19 +104,12 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        z = StarPoly.zero(self.tower)
-        ocols = list(zip(*other.entries)) if other.entries else []
-        out = []
-        for row in self.entries:
-            orow = []
-            for col in ocols:
-                acc = z
-                for a, b in zip(row, col):
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                orow.append(acc)
-            out.append(orow)
-        return PolyMatrix(self.tower, out)
+        T = self.tower
+        dot = T.poly_dot
+        ocols = [[b.coeffs for b in col] for col in zip(*other.entries)]
+        rows = [[a.coeffs for a in row] for row in self.entries]
+        return PolyMatrix(T, [[StarPoly(T, dot(zip(row, col))) for col in ocols]
+                              for row in rows])
 
     def scale(self, c: StarPoly) -> "PolyMatrix":
         return PolyMatrix(self.tower, [[c * a for a in row] for row in self.entries])
@@ -163,28 +156,20 @@ def form_kind(A: PolyMatrix) -> Optional[int]:
 
 
 def form_value(A: PolyMatrix, v: Sequence[StarPoly], w: Sequence[StarPoly]) -> StarPoly:
-    """The sesquilinear value v* A w."""
-    acc = StarPoly.zero(A.tower)
-    for i in range(A.rows):
-        vi = v[i]
-        if vi.is_zero():
-            continue
-        vis = vi.star()
-        for j in range(A.cols):
-            if not A.entries[i][j].is_zero() and not w[j].is_zero():
-                acc = acc + vis * A.entries[i][j] * w[j]
-    return acc
+    """The sesquilinear value v* A w, as the sum of v_i* (A w)_i over the
+    nonzero v_i."""
+    T = A.tower
+    x = [e.coeffs for e in w]
+    return StarPoly(T, T.poly_dot([(vi.star().coeffs,
+                                    T.poly_dot(zip([a.coeffs for a in row], x)))
+                                   for vi, row in zip(v, A.entries) if vi.coeffs]))
 
 
 def apply_matrix(A: PolyMatrix, v: Sequence[StarPoly]) -> List[StarPoly]:
-    out = []
-    for i in range(A.rows):
-        acc = StarPoly.zero(A.tower)
-        for j in range(A.cols):
-            if not A.entries[i][j].is_zero() and not v[j].is_zero():
-                acc = acc + A.entries[i][j] * v[j]
-        out.append(acc)
-    return out
+    T = A.tower
+    x = [e.coeffs for e in v]
+    return [StarPoly(T, T.poly_dot(zip([a.coeffs for a in row], x)))
+            for row in A.entries]
 
 
 def gcd_of_matrix(A: PolyMatrix) -> Tuple[StarPoly, str]:
@@ -227,10 +212,17 @@ def determinant(A: PolyMatrix) -> StarPoly:
                 return StarPoly.zero(T)
             M[k], M[pivot] = M[pivot], M[k]
             sign = -sign
+        Mk = M[k]
+        mkk = Mk[k].coeffs
         for i in range(k + 1, n):
+            # M_ij <- (M_kk M_ij - M_ik M_kj) / prev, exactly; prev = 1 at k = 0
+            Mi = M[i]
+            neg = T.poly_neg(Mi[k].coeffs)
             for j in range(k + 1, n):
-                M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]).exact_div(prev)
-            M[i][k] = StarPoly.zero(T)
+                e = StarPoly(T, T.poly_dot(((mkk, Mi[j].coeffs),
+                                            (neg, Mk[j].coeffs))))
+                Mi[j] = e.exact_div(prev) if k else e
+            Mi[k] = StarPoly.zero(T)
         prev = M[k][k]
     d = M[n - 1][n - 1]
     return -d if sign < 0 else d
@@ -491,38 +483,24 @@ class Reduction:
     def embed(self, S_small: PolyMatrix, offset: int) -> None:
         """Apply I (+) S_small (+) I acting on the coordinate window."""
         T = self.B.tower
-        n = self.B.rows
-        k = S_small.rows
-        win = range(offset, offset + k)
-        B = [list(row) for row in self.B.entries]
-        for r in range(n):
-            old = [B[r][offset + c] for c in range(k)]
-            for c in range(k):
-                acc = StarPoly.zero(T)
-                for m in range(k):
-                    if old[m].coeffs and S_small.entries[m][c].coeffs:
-                        acc = acc + old[m] * S_small.entries[m][c]
-                B[r][offset + c] = acc
-        Sst = S_small.star_transpose()
-        for col in range(n):
-            old = [B[offset + r][col] for r in range(k)]
-            for r in range(k):
-                acc = StarPoly.zero(T)
-                for m in range(k):
-                    if Sst.entries[r][m].coeffs and old[m].coeffs:
-                        acc = acc + Sst.entries[r][m] * old[m]
-                B[offset + r][col] = acc
+        dot = T.poly_dot
+        win = slice(offset, offset + S_small.rows)
+        cols = [[e.coeffs for e in col] for col in zip(*S_small.entries)]
+
+        def right(M):  # M with its window columns multiplied by S_small
+            out = [list(row) for row in M.entries]
+            for row in out:
+                old = [e.coeffs for e in row[win]]
+                row[win] = [StarPoly(T, dot(zip(old, col))) for col in cols]
+            return out
+
+        B = right(self.B)
+        # then its window rows by S_small*
+        wcols = list(zip(*[[e.coeffs for e in row] for row in B[win]]))
+        srows = [[e.coeffs for e in row] for row in S_small.star_transpose().entries]
+        B[win] = [[StarPoly(T, dot(zip(r, c))) for c in wcols] for r in srows]
         self.B = PolyMatrix(T, B)
-        S = [list(row) for row in self.S.entries]
-        for r in range(n):
-            old = [S[r][offset + c] for c in range(k)]
-            for c in range(k):
-                acc = StarPoly.zero(T)
-                for m in range(k):
-                    if old[m].coeffs and S_small.entries[m][c].coeffs:
-                        acc = acc + old[m] * S_small.entries[m][c]
-                S[r][offset + c] = acc
-        self.S = PolyMatrix(T, S)
+        self.S = PolyMatrix(T, right(self.S))
 
     def certificate(self) -> Certificate:
         return Certificate(self.S, self.B)

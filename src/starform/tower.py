@@ -13,17 +13,22 @@ frozen snapshot.
 
 The Tower also owns the one polynomial kernel of the package: the
 ``poly_*`` methods add, multiply, divide, take gcds and modular powers of
-coefficient lists (trimmed; zero is ``[]``).  Root finding and factoring
-here, and ``StarPoly`` arithmetic, run on it.  Field operations and each
-kernel call dispatch once on the highest level involved, to one of two
-branches:
+coefficient lists (trimmed; zero is ``[]``), and ``poly_dot`` sums the
+products of a list of pairs, the kernel of matrix products, matrix-vector
+products, form values and determinants.  Root finding and factoring here,
+and ``StarPoly`` and ``PolyMatrix`` arithmetic, run on it.  Field
+operations and each kernel call dispatch once on the highest level
+involved, to one of two branches:
 
-- level 0: plain ints mod p;
+- level 0: plain ints mod p, reduced once per output coefficient;
 - an extension level: packed F_p coordinates over the flattened field
-  (``_FlatField``; ``poly_mul_flat`` for products of polynomials).  Where a
-  product's sums could overflow a packed slot, it falls back to schoolbook
-  loops (``_mul_slow`` for field elements, the generic loop in
-  ``poly_mul``).
+  (``_FlatField``).  ``poly_mul_flat`` and ``poly_dot`` accumulate each
+  output coefficient in one packed int, and ``poly_divmod`` keeps the
+  remainder packed and subtracts packed rows of the monic divisor, so only
+  output coefficients are built as elements.  Where sums could overflow a
+  packed slot, they fall back to schoolbook loops (``_mul_slow`` for field
+  elements, the generic loops in ``poly_mul`` and ``poly_divmod``, one
+  product at a time in ``poly_dot``).
 
 p must be an odd prime below 2^24, since F_p coordinates are packed into
 24-bit slots.
@@ -68,13 +73,14 @@ class FieldElem:
     unique, so equality and hashing are structural.
     """
 
-    __slots__ = ("tower", "level", "rep", "_key")
+    __slots__ = ("tower", "level", "rep", "_key", "_terms")
 
     def __init__(self, tower: "Tower", level: int, rep):
         self.tower = tower
         self.level = level
         self.rep = rep
         self._key = None
+        self._terms = None
 
     # -- canonical order key: level-major, then F_p coordinates --
 
@@ -82,6 +88,14 @@ class FieldElem:
         if self._key is None:
             self._key = (self.level, self.tower.fp_coords(self, self.level))
         return self._key
+
+    def _coord_terms(self) -> List[Tuple[int, int]]:
+        """The nonzero F_p coordinates as (index, value) pairs.  They are the
+        same at every level above the element's own, whose F_p basis
+        extends that of the level below."""
+        if self._terms is None:
+            self._terms = [(i, c) for i, c in enumerate(self.key()[1]) if c]
+        return self._terms
 
     def is_zero(self) -> bool:
         return self.level == 0 and self.rep == 0
@@ -307,31 +321,40 @@ class Tower:
                 cache[packed] = e
         return e
 
-    def _from_packed(self, level: int, D: int, v: int) -> FieldElem:
-        """The element whose F_p coordinates are v's slots, each mod p."""
+    def _unpack(self, v: int, D: int) -> List[int]:
+        """The F_p coordinates held in v's slots, each mod p."""
         coords = [0] * D
         k = 0
         while v:
             coords[k] = (v & _PACK_MASK) % self.p
             v >>= _PACK_BITS
             k += 1
-        return self._elem_from_flat(level, coords)
+        return coords
+
+    def _from_packed(self, level: int, D: int, v: int) -> FieldElem:
+        """The element whose F_p coordinates are v's slots, each mod p."""
+        return self._elem_from_flat(level, self._unpack(v, D))
+
+    @staticmethod
+    def _packed_mul(ff: _FlatField, ca, cb) -> int:
+        """The product of two coordinate vectors, packed and unreduced."""
+        acc = 0
+        packed = ff.packed
+        for i, ai in enumerate(ca):
+            if ai:
+                rows = packed[i]
+                for j, bj in enumerate(cb):
+                    if bj:
+                        acc += ai * bj * rows[j]
+        return acc
 
     def _mul_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
         ff = self._flat(level)
         if not ff.max_pairs:
             return self._mul_slow(a, b)
         D = ff.D
-        cb = self._flat_coords(b, D)
-        acc = 0
-        packed = ff.packed
-        for i, ai in enumerate(self._flat_coords(a, D)):
-            if ai:
-                rows = packed[i]
-                for j, bj in enumerate(cb):
-                    if bj:
-                        acc += ai * bj * rows[j]
-        return self._from_packed(level, D, acc)
+        return self._from_packed(level, D, self._packed_mul(
+            ff, self._flat_coords(a, D), self._flat_coords(b, D)))
 
     def _add_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
         D = self.coord_size(level)
@@ -346,28 +369,36 @@ class Tower:
         space, materializing only the output coefficients.  None when the
         sums could overflow a packed slot."""
         ff = self._flat(level)
-        D = ff.D
         if min(len(ca_elems), len(cb_elems)) > ff.max_pairs:
             return None
+        D = ff.D
+        return [self._from_packed(level, D, v)
+                for v in self._packed_dot([(ca_elems, cb_elems)], ff)]
+
+    def _packed_dot(self, pairs, ff: _FlatField) -> List[int]:
+        """Sum of the products f_i g_i of nonempty coefficient vectors, one
+        packed unreduced int per output coefficient.  A slot takes at most
+        D^2 terms below (p-1)^3 from each pair per output coefficient, so
+        the sum over pairs of min(len f_i, len g_i) must not exceed
+        ``ff.max_pairs``."""
         packed = ff.packed
-        sa = [[(i, c) for i, c in enumerate(self._flat_coords(e, D)) if c]
-              for e in ca_elems]
-        sb = [[(j, c) for j, c in enumerate(self._flat_coords(e, D)) if c]
-              for e in cb_elems]
-        acc = [0] * (len(sa) + len(sb) - 1)
-        for ia, A_ in enumerate(sa):
-            if not A_:
-                continue
-            for ib, B_ in enumerate(sb):
-                if not B_:
+        acc = [0] * (max(len(f) + len(g) for f, g in pairs) - 1)
+        for f, g in pairs:
+            sb = [e._coord_terms() for e in g]
+            for ia, a in enumerate(f):
+                A_ = a._coord_terms()
+                if not A_:
                     continue
-                tot = 0
-                for i, ai in A_:
-                    rows = packed[i]
-                    for j, bj in B_:
-                        tot += ai * bj * rows[j]
-                acc[ia + ib] += tot
-        return [self._from_packed(level, D, v) for v in acc]
+                for ib, B_ in enumerate(sb, ia):
+                    if not B_:
+                        continue
+                    tot = 0
+                    for i, ai in A_:
+                        rows = packed[i]
+                        for j, bj in B_:
+                            tot += ai * bj * rows[j]
+                    acc[ib] += tot
+        return acc
 
     def _inv_flat(self, a: FieldElem, level: int) -> FieldElem:
         ff = self._flat(level)
@@ -591,6 +622,51 @@ class Tower:
                     out[j] = add(out[j], mul(x, y))
         return out
 
+    def poly_dot(self, pairs) -> List[FieldElem]:
+        """The trimmed sum of the products f_i g_i over ``pairs`` of
+        coefficient lists.  Each output coefficient accumulates over all the
+        pairs in one int (level 0) or one packed int (an extension level)
+        and is built as an element once; past the packed overflow bound the
+        pairs are multiplied and added one at a time."""
+        live = []
+        lv = size = 0
+        for f, g in pairs:
+            if f and g:
+                live.append((f, g))
+                if len(f) + len(g) > size:
+                    size = len(f) + len(g)
+                for c in f:
+                    if c.level > lv:
+                        lv = c.level
+                for c in g:
+                    if c.level > lv:
+                        lv = c.level
+        if not live:
+            return []
+        if lv == 0:
+            acc = [0] * (size - 1)
+            for f, g in live:
+                b = [y.rep for y in g]
+                for i, x in enumerate(f):
+                    x = x.rep
+                    if x:
+                        for j, y in enumerate(b, i):
+                            acc[j] += x * y
+            p = self.p
+            while acc and not acc[-1] % p:
+                acc.pop()
+            cache = self._fp_cache
+            return [cache[v % p] for v in acc]
+        ff = self._flat(lv)
+        if sum(min(len(f), len(g)) for f, g in live) > ff.max_pairs:
+            out: List[FieldElem] = []
+            for f, g in live:
+                out = self.poly_add(out, self.poly_mul(f, g))
+            return out
+        D = ff.D
+        out = [self._from_packed(lv, D, v) for v in self._packed_dot(live, ff)]
+        return self.poly_trim(out)
+
     def _int_divmod(self, a: List[int], b: List[int]):
         """Quotient and trimmed remainder of int lists mod p (``b`` trimmed,
         nonzero)."""
@@ -617,10 +693,14 @@ class Tower:
         n = len(g)
         if len(f) < n:
             return [], list(f)
-        if self._poly_level(f, g) == 0:
+        lv = self._poly_level(f, g)
+        if lv == 0:
             q, r = self._int_divmod([c.rep for c in f], [c.rep for c in g])
             cache = self._fp_cache
             return [cache[v] for v in q], [cache[v] for v in r]
+        ff = self._flat(lv)
+        if len(f) - n + 1 < ff.max_pairs:
+            return self._divmod_flat(f, g, lv, ff)
         mul, sub = self.mul, self.sub
         ginv = self.inv(g[-1])
         r = list(f)
@@ -633,6 +713,41 @@ class Tower:
                     if not y.is_zero():
                         r[i] = sub(r[i], mul(c, y))
         return q, self.poly_trim(r[:n - 1])
+
+    def _divmod_flat(self, f, g, level: int, ff: _FlatField):
+        """poly_divmod at an extension level, in packed coordinates: the
+        remainder stays packed, each step subtracts the quotient coefficient
+        times the precomputed packed rows of the monic divisor, and only the
+        quotient and the final remainder are built as elements.  A slot of
+        the remainder takes one product of coordinate vectors per step, so
+        the quotient must have fewer than ``ff.max_pairs`` coefficients."""
+        D, p = ff.D, self.p
+        fc = self._flat_coords
+        n = len(g)
+        ginv = None if g[-1].is_one() else fc(self.inv(g[-1]), D)
+        # hrows[j][i]: e_i times the t^j coefficient of g / lc(g), packed
+        hrows = []
+        for y in g[:-1]:
+            hy = fc(y, D)
+            if ginv is not None:
+                hy = self._unpack(self._packed_mul(ff, ginv, hy), D)
+            hrows.append([sum(c * row for c, row in zip(hy, rows) if c)
+                          for rows in ff.packed])
+        shift = range(0, _PACK_BITS * D, _PACK_BITS)
+        r = [sum(c << s for c, s in zip(fc(e, D), shift)) for e in f]
+        q = [self.zero] * (len(f) - n + 1)
+        for k in range(len(q) - 1, -1, -1):
+            lead = self._unpack(r[k + n - 1], D)
+            terms = [(i, p - c) for i, c in enumerate(lead) if c]
+            if not terms:
+                continue
+            if ginv is not None:
+                lead = self._unpack(self._packed_mul(ff, lead, ginv), D)
+            q[k] = self._elem_from_flat(level, lead)
+            for j, rows in enumerate(hrows, k):
+                r[j] += sum(c * rows[i] for i, c in terms)
+        rem = [self._from_packed(level, D, v) for v in r[:n - 1]]
+        return q, self.poly_trim(rem)
 
     def poly_mod(self, f, g) -> List[FieldElem]:
         return self.poly_divmod(f, g)[1]

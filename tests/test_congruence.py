@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -348,3 +352,38 @@ def test_block_swap_random():
         assert cert.B == _skew_block(fp)
         assert is_pure(cert.B.entries[0][1])
         done += 1
+
+
+_WRONG_NORM_FACTOR_UNDER_O = r"""
+import sys
+if __debug__:
+    sys.exit("not running under python -O")
+from starform import (PolyMatrix, ReductionError, StarPoly, Tower,
+                      isotropic_vector, parse_poly)
+from starform import congruence
+
+good = congruence.norm_factor
+congruence.norm_factor = lambda y: good(y) + StarPoly.one(y.tower)
+T = Tower(3)
+# no zero diagonal entry and no constant mix: the norm factor is needed
+A = PolyMatrix(T, [[parse_poly(e, T) for e in row]
+                   for row in [["1", "t"], ["-t", "1"]]])
+try:
+    isotropic_vector(A, 1)
+except ReductionError as exc:
+    print(exc)
+else:
+    sys.exit("isotropic_vector returned a vector that is not isotropic")
+"""
+
+
+def test_reduction_checks_survive_python_O():
+    """The reductions' checks on their own results raise ReductionError, so
+    they still run under python -O, where an assert would be skipped."""
+    src = str(Path(__import__("starform").__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_NORM_FACTOR_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["isotropic vector is not isotropic"]

@@ -65,9 +65,19 @@ def _school_gcd(T, f, g):
     return [T.mul(T.inv(f[-1]), c) for c in f] if f else f
 
 
+def _school_add(T, f, g):
+    out = list(f) + [T.zero] * max(len(g) - len(f), 0)
+    for i, y in enumerate(g):
+        out[i] = T.add(out[i], y)
+    return _school_trim(out)
+
+
 def _kernel_towers():
     """(tower, level): F_5 (int arithmetic), then packed flat products over
-    F_81, a small two-level case, and over the three-level F_{5^8}."""
+    F_81, a small two-level case, and over the three-level F_{5^8}; then
+    F_{101^2}, whose packed slots hold only 4 products of coordinate
+    vectors, so larger sums and quotients take the generic loops, and
+    F_{8191^2}, where not even one fits and every product takes them."""
     prime = Tower(5)
     small = Tower(3)
     small.grow_quadratic()
@@ -75,7 +85,12 @@ def _kernel_towers():
     flat = Tower(5)
     for _ in range(3):
         flat.grow_quadratic()
-    return [(prime, 0), (small, 2), (flat, 3)]
+    tight = Tower(101)
+    tight.grow_quadratic()
+    wide = Tower(8191)
+    wide.grow_quadratic()
+    assert (tight._flat(1).max_pairs, wide._flat(1).max_pairs) == (4, 0)
+    return [(prime, 0), (small, 2), (flat, 3), (tight, 1), (wide, 1)]
 
 
 def test_kernel_matches_schoolbook():
@@ -100,6 +115,62 @@ def test_kernel_matches_schoolbook():
                     _school_divmod(T, list(a.coeffs), list(b.coeffs))
             assert list(gcd(a, b).coeffs) == \
                 _school_gcd(T, list(a.coeffs), list(b.coeffs))
+
+
+def test_poly_dot_matches_schoolbook():
+    """poly_dot against the sum of schoolbook products: pairs of mixed
+    levels, pairs that cancel, and sums on both sides of the packed bound."""
+    rng = random.Random(23)
+    for T, lv in _kernel_towers():
+        def rand(maxdeg, level=None):
+            f = [T.random_element(rng.randint(0, lv) if level is None else level, rng)
+                 for _ in range(rng.randint(0, maxdeg + 1))]
+            return _school_trim(f)
+        bound = T._flat(lv).max_pairs if lv else None
+        sides = set()
+        assert T.poly_dot([]) == []
+        for trial in range(40):
+            pairs = [(rand(5), rand(4)) for _ in range(rng.randint(1, 4))]
+            if trial % 4 == 0:  # one pair in F_p beside one at the top level
+                pairs += [(rand(3, 0), rand(3, 0)), (rand(3, lv), rand(3, lv))]
+            if trial % 5 == 0:  # f g + (-f) g cancels to zero
+                f, g = rand(4), rand(4)
+                pairs += [(f, g), ([T.neg(c) for c in f], g)]
+            want = []
+            for f, g in pairs:
+                want = _school_add(T, want, _school_mul(T, f, g))
+            assert T.poly_dot(pairs) == want
+            if bound is not None:
+                sides.add(sum(min(len(f), len(g)) for f, g in pairs if f and g) > bound)
+            f, g = rand(4), rand(4)
+            assert T.poly_dot([(f, g), ([T.neg(c) for c in f], g)]) == []
+        if bound == 4:
+            assert sides == {False, True}
+
+
+def test_packed_divmod():
+    """q g + r = f with deg r < deg g, for monic and non-monic divisors,
+    with quotients on both sides of the packed bound."""
+    rng = random.Random(29)
+    for T, lv in _kernel_towers():
+        def rand(length):
+            f = [T.random_element(rng.randint(0, lv), rng) for _ in range(length - 1)]
+            return f + [T.random_element(lv, rng) or T.one]
+        bound = T._flat(lv).max_pairs if lv else None
+        sides = set()
+        for trial in range(30):
+            g = rand(rng.randint(1, 4))
+            if trial % 2:
+                g = T.poly_monic(g)
+            f = rand(len(g) + rng.randint(0, 7))
+            if bound is not None:
+                sides.add(len(f) - len(g) + 1 >= bound)
+            q, r = T.poly_divmod(f, g)
+            assert len(r) < len(g)
+            assert _school_add(T, _school_mul(T, q, g), r) == f
+            assert (q, r) == _school_divmod(T, f, g)
+        if bound == 4:
+            assert sides == {False, True}
 
 
 # ---------------- star and parity ----------------
