@@ -140,19 +140,35 @@ class PolyMatrix:
     __repr__ = __str__
 
 
+def _add_mul(e: StarPoly, c, f: StarPoly) -> StarPoly:
+    """e + c f in one kernel call, for a coefficient list c: the update of
+    elimination steps and transvections."""
+    T = e.tower
+    return StarPoly(T, T.poly_dot((((T.one,), e.coeffs), (c, f.coeffs))))
+
+
 # ---------------- form structure ----------------
 
 def form_kind(A: PolyMatrix) -> Optional[int]:
     """+1 for hermitian, -1 for skew-hermitian, None for neither.
 
-    The zero matrix is both; hermitian is reported.
+    The zero matrix is both; hermitian is reported.  Compares A[j][i] with
+    A[i][j]* and -A[i][j]* over i <= j, dropping each kind at its first
+    mismatch.
     """
-    st = A.star_transpose()
-    if st == A:
-        return HERMITIAN
-    if st == -A:
-        return SKEW
-    return None
+    if not A.is_square():
+        return None
+    E = A.entries
+    herm = skew = True
+    for i, row in enumerate(E):
+        for j in range(i, A.cols):
+            s = row[j].star()
+            b = E[j][i]
+            herm = herm and b == s
+            skew = skew and b == -s
+            if not (herm or skew):
+                return None
+    return HERMITIAN if herm else SKEW
 
 
 def form_value(A: PolyMatrix, v: Sequence[StarPoly], w: Sequence[StarPoly]) -> StarPoly:
@@ -284,20 +300,22 @@ def _smith(A: PolyMatrix, track: bool):
         V = [list(row) for row in PolyMatrix.identity(T, n).entries]
 
     def row_op(i, j, q, k):  # row_i -= q * row_j  (on M from column k, and U)
+        nq = T.poly_neg(q.coeffs)
         Mi, Mj = M[i], M[j]
         for c in range(k, n):
             if Mj[c].coeffs:
-                Mi[c] = Mi[c] - q * Mj[c]
+                Mi[c] = _add_mul(Mi[c], nq, Mj[c])
         if track:
             Ui, Uj = U[i], U[j]
             for c in range(m):
                 if Uj[c].coeffs:
-                    Ui[c] = Ui[c] - q * Uj[c]
+                    Ui[c] = _add_mul(Ui[c], nq, Uj[c])
 
     def col_op(i, j, q, k):  # col_i -= q * col_j  (on M from row k, and V)
+        nq = T.poly_neg(q.coeffs)
         for R in M[k:] + V if track else M[k:]:
             if R[j].coeffs:
-                R[i] = R[i] - q * R[j]
+                R[i] = _add_mul(R[i], nq, R[j])
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
@@ -441,19 +459,19 @@ class Reduction:
             return
         T = self.B.tower
         n = self.B.rows
-        xs = x.star()
+        xc, xs = x.coeffs, x.star().coeffs
         B = [list(row) for row in self.B.entries]
         for k in range(n):
             if B[k][i].coeffs:
-                B[k][j] = B[k][j] + x * B[k][i]
+                B[k][j] = _add_mul(B[k][j], xc, B[k][i])
         for k in range(n):
             if B[i][k].coeffs:
-                B[j][k] = B[j][k] + xs * B[i][k]
+                B[j][k] = _add_mul(B[j][k], xs, B[i][k])
         self.B = PolyMatrix(T, B)
         S = [list(row) for row in self.S.entries]
         for k in range(n):
             if S[k][i].coeffs:
-                S[k][j] = S[k][j] + x * S[k][i]
+                S[k][j] = _add_mul(S[k][j], xc, S[k][i])
         self.S = PolyMatrix(T, S)
 
     def scale_col(self, i: int, c: StarPoly) -> None:
@@ -530,12 +548,8 @@ def unimodular_completion(v: Sequence[StarPoly]) -> PolyMatrix:
         _, u1, u2 = gcd_bezout(v[0], v[1])
         return PolyMatrix(T, [[v[0], -u2], [v[1], u1]])
     w = list(v)
-    out = PolyMatrix.identity(T, n)
-
-    def apply_inverse(M_inv: PolyMatrix):
-        nonlocal out
-        out = out @ M_inv
-
+    # each row operation on w is undone by a column operation on out
+    out = [list(row) for row in PolyMatrix.identity(T, n).entries]
     while True:
         nz = [i for i in range(n) if not w[i].is_zero()]
         piv = min(nz, key=lambda i: (w[i].degree(), i))
@@ -545,10 +559,10 @@ def unimodular_completion(v: Sequence[StarPoly]) -> PolyMatrix:
                 continue
             q = w[j] // w[piv]
             w[j] = w[j] - q * w[piv]
-            # row op: row_j -= q row_piv; inverse adds it back
-            M_inv = [list(r) for r in PolyMatrix.identity(T, n).entries]
-            M_inv[j][piv] = q
-            apply_inverse(PolyMatrix(T, M_inv))
+            # row_j -= q row_piv on w; col_piv += q col_j on out
+            for R in out:
+                if R[j].coeffs:
+                    R[piv] = _add_mul(R[piv], q.coeffs, R[j])
             if not w[j].is_zero():
                 done = False
         nz = [i for i in range(n) if not w[i].is_zero()]
@@ -559,19 +573,17 @@ def unimodular_completion(v: Sequence[StarPoly]) -> PolyMatrix:
             piv = min(nz, key=lambda i: (w[i].degree(), i))
     if piv != 0:
         w[0], w[piv] = w[piv], w[0]
-        M_inv = [list(r) for r in PolyMatrix.identity(T, n).entries]
-        M_inv[0][0] = M_inv[piv][piv] = StarPoly.zero(T)
-        M_inv[0][piv] = M_inv[piv][0] = StarPoly.one(T)
-        apply_inverse(PolyMatrix(T, M_inv))
+        for R in out:
+            R[0], R[piv] = R[piv], R[0]
     c = w[0]
     if c.degree() != 0:
         raise ValueError("vector is not primitive")
-    # w[0] = c -> 1 by scaling; inverse scales back
-    M_inv = [list(r) for r in PolyMatrix.identity(T, n).entries]
-    M_inv[0][0] = c
-    apply_inverse(PolyMatrix(T, M_inv))
-    assert out.column(0) == list(v)
-    return out
+    # w[0] = c -> 1 by scaling; column 0 of out scales back by c
+    for R in out:
+        R[0] = R[0] * c
+    if [R[0] for R in out] != list(v):
+        raise AssertionError("unimodular completion does not extend the vector")
+    return PolyMatrix(T, out)
 
 
 def reduce_columns(cols: List[List[StarPoly]], pivots: Sequence[int],
@@ -586,6 +598,7 @@ def reduce_columns(cols: List[List[StarPoly]], pivots: Sequence[int],
     def total(col):
         return sum(max(e.degree(), 0) for e in col)
 
+    T = cols[0][0].tower
     rows = len(cols[0])
     for _ in range(passes):
         changed = False
@@ -600,7 +613,8 @@ def reduce_columns(cols: List[List[StarPoly]], pivots: Sequence[int],
                     q = b // a
                     if q.is_zero():
                         continue
-                    cand = [cj - q * ci for cj, ci in zip(cols[j], cols[i])]
+                    nq = T.poly_neg(q.coeffs)
+                    cand = [_add_mul(cj, nq, ci) for cj, ci in zip(cols[j], cols[i])]
                     if total(cand) < total(cols[j]):
                         cols[j] = cand
                         changed = True

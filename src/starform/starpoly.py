@@ -357,8 +357,8 @@ def _half_split(h: StarPoly) -> StarPoly:
     for _ in range(d // 2):
         w = w * (t - StarPoly.const(T, mu))
         mu = T.pow(mu, q0)
-    ratio = (w * w.star()).exact_div(h)
-    assert ratio.degree() == 0
+    if (w * w.star()).exact_div(h).degree() != 0:
+        raise AssertionError("half split: w w* is not h up to a constant")
     return w
 
 
@@ -463,7 +463,8 @@ def solve_norm_equation(a: StarPoly, b: StarPoly, sign: str) -> StarPoly:
         raise ValueError("'-' norm equation needs an odd right-hand side")
     astar = a.star()
     g, u, v = gcd_bezout(a, astar)
-    assert g.is_one()
+    if not g.is_one():
+        raise AssertionError("a pure polynomial is not coprime to its star")
     h = b * T.inv(T.elem(2))
     # a y + a* z = b/2 with y reduced mod a*
     y = (u * h) % astar if astar.degree() > 0 else u * h
@@ -484,7 +485,8 @@ def coprime_even_bezout(a: StarPoly, b: StarPoly) -> Tuple[StarPoly, StarPoly]:
     z = solve_norm_equation(b, rhs, "-")
     x = u + b * z
     y = v - a * z
-    assert x.parity() in (EVEN, ZERO)
+    if x.parity() not in (EVEN, ZERO):
+        raise AssertionError("even Bezout coefficient is not even")
     return x, y
 
 

@@ -25,10 +25,20 @@ involved, to one of two branches:
   (``_FlatField``).  ``poly_mul_flat`` and ``poly_dot`` accumulate each
   output coefficient in one packed int, and ``poly_divmod`` keeps the
   remainder packed and subtracts packed rows of the monic divisor, so only
-  output coefficients are built as elements.  Where sums could overflow a
-  packed slot, they fall back to schoolbook loops (``_mul_slow`` for field
-  elements, the generic loops in ``poly_mul`` and ``poly_divmod``, one
-  product at a time in ``poly_dot``).
+  output coefficients are built as elements.  Products go through
+  multiplication rows (``_mul_rows``): for a coefficient a, the packed
+  a e_j for each basis element e_j, built once per coefficient of the
+  shorter factor, so each product term costs one multiply-add per nonzero
+  coordinate of the other factor, not one per pair of coordinates.  The
+  rows live only for one call; they are not kept on elements.  Where sums
+  could overflow a packed slot, they fall back to schoolbook loops
+  (``_mul_slow`` for field elements, the generic loops in ``poly_mul`` and
+  ``poly_divmod``, one product at a time in ``poly_dot``).
+
+An extension-level inverse solves a linear system mod p once per element
+and is kept on it (``FieldElem._inv``); canonical elements are shared per
+level, so a divisor's leading coefficient is inverted once, not at every
+division.
 
 p must be an odd prime below 2^24, since F_p coordinates are packed into
 24-bit slots.
@@ -73,7 +83,7 @@ class FieldElem:
     unique, so equality and hashing are structural.
     """
 
-    __slots__ = ("tower", "level", "rep", "_key", "_terms")
+    __slots__ = ("tower", "level", "rep", "_key", "_terms", "_inv")
 
     def __init__(self, tower: "Tower", level: int, rep):
         self.tower = tower
@@ -81,6 +91,7 @@ class FieldElem:
         self.rep = rep
         self._key = None
         self._terms = None
+        self._inv = None
 
     # -- canonical order key: level-major, then F_p coordinates --
 
@@ -198,15 +209,25 @@ class _FlatField:
     A packed slot holds sums of unreduced terms a_i b_j (e_i e_j)_k, each
     below (p-1)^3, and one product of coefficient vectors adds at most D^2
     of them; ``max_pairs`` is how many such products fit in a slot, 0 when
-    not even one does."""
+    not even one does.
 
-    __slots__ = ("D", "basis_prod", "packed", "max_pairs")
+    ``wide[i]`` holds the D packed rows e_i e_j side by side, so the
+    multiplication rows of an element (``Tower._mul_rows``) cost one
+    multiply-add per nonzero coordinate."""
+
+    __slots__ = ("D", "basis_prod", "packed", "wide", "row_shifts", "row_mask",
+                 "max_pairs")
 
     def __init__(self, D: int, p: int, basis_prod):
         self.D = D
         self.basis_prod = basis_prod  # [i][j] -> coordinate list of e_i e_j
         self.packed = [[sum(v << (_PACK_BITS * k) for k, v in enumerate(row))
                         for row in rows] for rows in basis_prod]
+        width = _PACK_BITS * D
+        self.wide = [sum(v << (width * j) for j, v in enumerate(rows))
+                     for rows in self.packed]
+        self.row_shifts = range(0, width * D, width)
+        self.row_mask = (1 << width) - 1
         self.max_pairs = _PACK_MASK // (D * D * (p - 1) ** 3)
 
 
@@ -336,25 +357,34 @@ class Tower:
         return self._elem_from_flat(level, self._unpack(v, D))
 
     @staticmethod
-    def _packed_mul(ff: _FlatField, ca, cb) -> int:
-        """The product of two coordinate vectors, packed and unreduced."""
-        acc = 0
-        packed = ff.packed
-        for i, ai in enumerate(ca):
-            if ai:
-                rows = packed[i]
-                for j, bj in enumerate(cb):
-                    if bj:
-                        acc += ai * bj * rows[j]
-        return acc
+    def _mul_rows(ff: _FlatField, terms) -> List[int]:
+        """The multiplication rows of the element a with nonzero coordinates
+        ``terms`` ((i, a_i) pairs, a_i < p): rows[j] = a e_j, packed and
+        unreduced, so a b = sum of b_j rows[j], one multiply-add per nonzero
+        coordinate of b.  A slot of a row is below D (p-1)^2 and a product
+        still adds at most D^2 terms below (p-1)^3 to a slot, so the bound
+        of ``ff.max_pairs`` (at least 1 here) is unchanged.  A single
+        coordinate takes the precomputed rows of its basis element."""
+        if len(terms) == 1:
+            i, ai = terms[0]
+            rows = ff.packed[i]
+            return rows if ai == 1 else [ai * r for r in rows]
+        wide = ff.wide
+        w = 0
+        for i, ai in terms:
+            w += ai * wide[i]
+        mask = ff.row_mask
+        return [(w >> s) & mask for s in ff.row_shifts]
 
     def _mul_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
         ff = self._flat(level)
         if not ff.max_pairs:
             return self._mul_slow(a, b)
-        D = ff.D
-        return self._from_packed(level, D, self._packed_mul(
-            ff, self._flat_coords(a, D), self._flat_coords(b, D)))
+        rows = self._mul_rows(ff, a._coord_terms())
+        v = 0
+        for j, bj in b._coord_terms():
+            v += bj * rows[j]
+        return self._from_packed(level, ff.D, v)
 
     def _add_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
         D = self.coord_size(level)
@@ -377,27 +407,28 @@ class Tower:
 
     def _packed_dot(self, pairs, ff: _FlatField) -> List[int]:
         """Sum of the products f_i g_i of nonempty coefficient vectors, one
-        packed unreduced int per output coefficient.  A slot takes at most
-        D^2 terms below (p-1)^3 from each pair per output coefficient, so
-        the sum over pairs of min(len f_i, len g_i) must not exceed
-        ``ff.max_pairs``."""
-        packed = ff.packed
+        packed unreduced int per output coefficient.  The multiplication rows
+        of each coefficient of the shorter factor are built once and serve
+        every coefficient of the other.  A slot takes at most D^2 terms
+        below (p-1)^3 from each pair per output coefficient, so the sum over
+        pairs of min(len f_i, len g_i) must not exceed ``ff.max_pairs``."""
+        mul_rows = self._mul_rows
         acc = [0] * (max(len(f) + len(g) for f, g in pairs) - 1)
         for f, g in pairs:
+            if len(f) > len(g):
+                f, g = g, f
             sb = [e._coord_terms() for e in g]
             for ia, a in enumerate(f):
                 A_ = a._coord_terms()
                 if not A_:
                     continue
+                rows = mul_rows(ff, A_)
                 for ib, B_ in enumerate(sb, ia):
-                    if not B_:
-                        continue
-                    tot = 0
-                    for i, ai in A_:
-                        rows = packed[i]
+                    if B_:
+                        tot = acc[ib]
                         for j, bj in B_:
-                            tot += ai * bj * rows[j]
-                    acc[ib] += tot
+                            tot += bj * rows[j]
+                        acc[ib] = tot
         return acc
 
     def _inv_flat(self, a: FieldElem, level: int) -> FieldElem:
@@ -501,7 +532,11 @@ class Tower:
             raise ZeroDivisionError("field inverse of zero")
         if a.level == 0:
             return self._fp_cache[pow(a.rep, self.p - 2, self.p)]
-        return self._inv_flat(a, a.level)
+        if a._inv is None:
+            # canonical elements are shared per level, so the memo serves
+            # every later division by the same value
+            a._inv = self._inv_flat(a, a.level)
+        return a._inv
 
     def _inv_euclid(self, a: FieldElem) -> FieldElem:
         lv = a.level
@@ -722,27 +757,29 @@ class Tower:
         the remainder takes one product of coordinate vectors per step, so
         the quotient must have fewer than ``ff.max_pairs`` coefficients."""
         D, p = ff.D, self.p
-        fc = self._flat_coords
+        mul_rows, unpack = self._mul_rows, self._unpack
         n = len(g)
-        ginv = None if g[-1].is_one() else fc(self.inv(g[-1]), D)
-        # hrows[j][i]: e_i times the t^j coefficient of g / lc(g), packed
+        # the multiplication rows of lc(g)^-1, and hrows[j][i]: e_i times
+        # the t^j coefficient of g / lc(g), packed
+        ginv = None if g[-1].is_one() else mul_rows(ff, self.inv(g[-1])._coord_terms())
         hrows = []
         for y in g[:-1]:
-            hy = fc(y, D)
-            if ginv is not None:
-                hy = self._unpack(self._packed_mul(ff, ginv, hy), D)
-            hrows.append([sum(c * row for c, row in zip(hy, rows) if c)
-                          for rows in ff.packed])
+            terms = y._coord_terms()
+            if ginv is not None and terms:
+                hy = unpack(sum([c * ginv[i] for i, c in terms]), D)
+                terms = [(i, c) for i, c in enumerate(hy) if c]
+            hrows.append(mul_rows(ff, terms))
         shift = range(0, _PACK_BITS * D, _PACK_BITS)
+        fc = self._flat_coords
         r = [sum(c << s for c, s in zip(fc(e, D), shift)) for e in f]
         q = [self.zero] * (len(f) - n + 1)
         for k in range(len(q) - 1, -1, -1):
-            lead = self._unpack(r[k + n - 1], D)
+            lead = unpack(r[k + n - 1], D)
             terms = [(i, p - c) for i, c in enumerate(lead) if c]
             if not terms:
                 continue
             if ginv is not None:
-                lead = self._unpack(self._packed_mul(ff, lead, ginv), D)
+                lead = unpack(sum([c * ginv[i] for i, c in enumerate(lead) if c]), D)
             q[k] = self._elem_from_flat(level, lead)
             for j, rows in enumerate(hrows, k):
                 r[j] += sum(c * rows[i] for i, c in terms)
@@ -886,7 +923,8 @@ class Tower:
                 squarefree.append((g, m))
             else:
                 q, r = self.poly_divmod(g, d)
-                assert not r
+                if r:
+                    raise AssertionError("gcd(g, g') does not divide g")
                 stack.append((d, m))
                 stack.append((q, m))
         for g, m in squarefree:
@@ -928,7 +966,9 @@ class Tower:
                         break
                 if target is not None:
                     got = self._roots_in_level(h, target)
-                    assert len(got) == d
+                    if len(got) != d:
+                        raise AssertionError(f"{len(got)} roots of a degree-{d} "
+                                             f"irreducible in level {target}")
                     roots.extend(got)
                     continue
                 top = len(self.levels)
@@ -1074,7 +1114,8 @@ class Tower:
                     record(h, m)
             else:
                 q, r = self.poly_divmod(g, d)
-                assert not r
+                if r:
+                    raise AssertionError("gcd(g, g') does not divide g")
                 stack.append((d, m))
                 stack.append((q, m))
         out.sort(key=lambda hm: (len(hm[0]), [c.key() for c in hm[0]]))

@@ -302,6 +302,50 @@ def test_scrambled_regressions_stay_in_prime_field(seed, n):
     assert cb == inst.blocks
 
 
+def _dense_form(p, n, eps, seed):
+    """The random eps-form that the benchmark's dense workload draws for
+    (p, n, eps) and spec seed ``seed``: entries of degree <= 2, diagonal
+    x + eps x*."""
+    rng = random.Random(f"dense/{p}/{n}/{eps}/{seed}")
+    T = Tower(p)
+    E = [[None] * n for _ in range(n)]
+    for i in range(n):
+        x = StarPoly.from_ints(T, [rng.randrange(p) for _ in range(3)])
+        E[i][i] = x + x.star() if eps == HERMITIAN else x - x.star()
+        for j in range(i + 1, n):
+            a = StarPoly.from_ints(T, [rng.randrange(p) for _ in range(3)])
+            E[i][j] = a
+            E[j][i] = a.star() if eps == HERMITIAN else -a.star()
+    return T, PolyMatrix(T, E)
+
+
+@pytest.mark.parametrize("p, seed, levels, last", [
+    # F_{3^24}: the packed multiplication rows save the most here
+    (3, 23, ["u1: u1^4+u1^2+2 = 0", "u2: u2^2+u1^3+2*u1 = 0",
+             "u3: u3^3+(2*u1^2+1)*u3^2+2*u1^2+1 = 0"], "t^6+t^4-t^2+1"),
+    # F_{5^12}
+    (5, 20, ["u1: u1^2+2 = 0", "u2: u2^6+4*u2^4+u2^2+u1+4 = 0"], "t^4+t^2+1"),
+])
+def test_dense_regressions_in_deep_towers(p, seed, levels, last):
+    """The two slowest operations of the dense workload (n = 3, hermitian)
+    finish under a 5 s budget with the same tower and blocks."""
+    T, A = _dense_form(p, 3, HERMITIAN, seed)
+
+    def over_budget(signum, frame):
+        raise TimeoutError("canonicalize ran past its 5 s budget")
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.alarm(5)
+    try:
+        cert, cb = canonicalize(A, HERMITIAN)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    cert.check(A)
+    assert T.describe_levels() == levels
+    assert cb.serialize(T).splitlines()[-3:] == ["1x1: 1", "1x1: 1", f"1x1: {last}"]
+
+
 # ---------------- serialization ----------------
 
 def test_canonical_blocks_serialize():

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,39 @@ def test_form_kind_examples():
     assert form_kind(M([["0", "t"], ["t", "t^3"]], T)) == SKEW
     assert form_kind(M([["t", "0"], ["0", "0"]], T)) == SKEW
     assert form_kind(M([["t", "1"], ["1", "0"]], T)) is None
+
+
+def _form_kind_by_definition(A):
+    st = A.star_transpose()
+    return HERMITIAN if st == A else SKEW if st == -A else None
+
+
+def test_form_kind_compares_entries():
+    """form_kind against its definition (A* = A or A* = -A): square
+    hermitian, skew, zero, neither, non-square, and forms changed in one
+    entry, above, on or below the diagonal."""
+    T = Tower(5)
+    assert form_kind(M([["0", "0"], ["0", "0"]], T)) == HERMITIAN
+    assert form_kind(M([["1", "t"]], T)) is None
+    assert form_kind(M([["1"], ["t"]], T)) is None
+    assert form_kind(M([["t^2", "t+1", "2"], ["-t+1", "1", "0"], ["2", "0", "0"]],
+                       T)) == HERMITIAN
+    assert form_kind(M([["t", "t+1"], ["t-1", "0"]], T)) == SKEW
+    assert form_kind(M([["t", "t+1"], ["t+1", "0"]], T)) is None
+    rng = random.Random(31)
+    for trial in range(60):
+        n = rng.randint(1, 4)
+        eps = rng.choice([HERMITIAN, SKEW])
+        A = rand_eps_form(T, rng, n, eps, 3)
+        assert form_kind(A) == _form_kind_by_definition(A) == (
+            HERMITIAN if A.is_zero() else eps)
+        rows = [list(row) for row in A.entries]
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = rows[i][j] + StarPoly.monomial(T, rng.randrange(1, 5), rng.randint(0, 2))
+        B = PolyMatrix(T, rows)
+        assert form_kind(B) == _form_kind_by_definition(B)
+        if i != j:
+            assert form_kind(B) is None
 
 
 def test_form_value_examples():
@@ -335,6 +372,60 @@ def test_unimodular_completion_random():
         assert C.column(0) == v
         assert is_unimodular(C)
         done += 1
+
+
+_BROKEN_UNDER_O = r"""
+import sys
+if __debug__:
+    sys.exit("not running under python -O")
+from starform import StarPoly, Tower, parse_poly, polymat, randgen, starpoly
+from starform.randgen import RandomSpec, generate
+
+def report(run):
+    try:
+        run()
+    except AssertionError as exc:
+        print(exc)
+    else:
+        sys.exit("a broken invariant went unnoticed")
+
+# a gcd that does not divide: the squarefree split of find_roots
+T = Tower(3)
+T.poly_gcd = lambda f, g: [T.one, T.one]
+report(lambda: T.find_roots(parse_poly("t^2+1", T).coeffs))
+# a Bezout gcd that is not 1 for a pure a
+T = Tower(5)
+good_bezout = starpoly.gcd_bezout
+starpoly.gcd_bezout = lambda a, b: (StarPoly.t(a.tower), a, b)
+report(lambda: starpoly.solve_norm_equation(StarPoly.one(T), StarPoly.const(T, 2), "+"))
+starpoly.gcd_bezout = good_bezout
+# a kernel that drops every product after the first
+T = Tower(5)
+good_dot = T.poly_dot
+T.poly_dot = lambda pairs: good_dot(list(pairs)[:1])
+report(lambda: polymat.unimodular_completion(
+    [parse_poly(e, T) for e in ("t", "t+1", "t^2")]))
+# a scrambling that leaves the eps-form class
+randgen.form_kind = lambda A: None
+report(lambda: generate(RandomSpec(seed=1, p=5, n=2, eps=1, max_degree=2)))
+"""
+
+
+def test_library_checks_survive_python_O():
+    """The tower's, starpoly's, polymat's and randgen's checks on their own
+    results raise, so they still run under python -O, where an assert
+    would be skipped."""
+    src = str(Path(__import__("starform").__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "gcd(g, g') does not divide g",
+        "a pure polynomial is not coprime to its star",
+        "unimodular completion does not extend the vector",
+        "scrambling left the eps-form class"]
 
 
 # ---------------- congruence accumulation ----------------

@@ -74,10 +74,12 @@ def _school_add(T, f, g):
 
 def _kernel_towers():
     """(tower, level): F_5 (int arithmetic), then packed flat products over
-    F_81, a small two-level case, and over the three-level F_{5^8}; then
-    F_{101^2}, whose packed slots hold only 4 products of coordinate
-    vectors, so larger sums and quotients take the generic loops, and
-    F_{8191^2}, where not even one fits and every product takes them."""
+    F_81, a small two-level case, over the three-level F_{5^8}, and over
+    F_{3^24} (levels of degree 4, 2 and 3), where building an element's
+    multiplication rows saves the most; then F_{101^2}, whose packed slots
+    hold only 4 products of coordinate vectors, so larger sums and
+    quotients take the generic loops, and F_{8191^2}, where not even one
+    fits and every product takes them."""
     prime = Tower(5)
     small = Tower(3)
     small.grow_quadratic()
@@ -85,12 +87,21 @@ def _kernel_towers():
     flat = Tower(5)
     for _ in range(3):
         flat.grow_quadratic()
+    deep = Tower(3)
+    # x^4 + x^2 + 2, then x^2 + u1^3 + 2 u1, then x^3 + (2 u1^2 + 1) x^2 +
+    # 2 u1^2 + 1: the tower that dense_matrix((3, 3, +1), 23) grows; tuples
+    # are F_3 coordinates over the basis 1, u1, u1^2, u1^3
+    for minpoly in ([2, 0, 1, 0, 1], [(0, 2, 0, 1), 0, 1],
+                    [(1, 0, 2, 0), 0, (1, 0, 2, 0), 1]):
+        deep.grow([deep.from_fp_coords(1, c) if isinstance(c, tuple) else deep.elem(c)
+                   for c in minpoly])
+    assert deep.coord_size(3) == 24
     tight = Tower(101)
     tight.grow_quadratic()
     wide = Tower(8191)
     wide.grow_quadratic()
     assert (tight._flat(1).max_pairs, wide._flat(1).max_pairs) == (4, 0)
-    return [(prime, 0), (small, 2), (flat, 3), (tight, 1), (wide, 1)]
+    return [(prime, 0), (small, 2), (flat, 3), (deep, 3), (tight, 1), (wide, 1)]
 
 
 def test_kernel_matches_schoolbook():

@@ -214,6 +214,28 @@ def test_flat_level_matches_slow_arithmetic():
                     assert T.inv(y) == T._inv_euclid(y) if y.level == lv else True
 
 
+def test_extension_inverse_is_memoized():
+    """An extension-level inverse is solved once per element and kept on it;
+    the kept value is still the Euclidean inverse, and canonical elements
+    built again from the same coordinates share it."""
+    for T in (_quadratic_tower(3, 2), _tower_with_binomial_level(8191, 2)):
+        lv = T.num_levels()
+        rng = random.Random(5)
+        calls = []
+        solve = T._inv_flat
+        T._inv_flat = lambda a, level: calls.append(a) or solve(a, level)
+        for _ in range(20):
+            a = T.random_element(lv, rng)
+            if a.level == 0:
+                continue
+            inv = T.inv(a)
+            assert a._inv is inv and T.inv(a) is inv
+            assert inv == T._inv_euclid(a) and T.mul(a, inv) == T.one
+            again = T.from_fp_coords(lv, T.fp_coords(a, lv))
+            assert again is a and T.inv(again) is inv
+        assert len(calls) == len(set(map(id, calls))) > 0
+
+
 def test_large_prime_builds_no_product_table():
     # Tower(65537) once built a p x p product table and ran out of memory; a
     # 1 GiB address-space limit on the child makes a regression fail here
