@@ -4,6 +4,14 @@ completion, zero-block splitting, and congruence-move accumulation with
 verified certificates.
 
 Matrices are immutable; all operations are exact.
+
+The Smith loop and the fraction-free determinant run on the tower kernel's
+coefficient lists, not on StarPolys: they find the highest coefficient level
+of the matrix once, and run the whole elimination on int lists mod p at
+level 0, or on FieldElem lists above it (``_Lists``).  StarPolys are built
+only for the returned entries.  Matrix products and transvections still go
+through ``Tower.poly_dot``, which finds the level on every call once the
+tower has grown.
 """
 
 from __future__ import annotations
@@ -142,9 +150,37 @@ class PolyMatrix:
 
 def _add_mul(e: StarPoly, c, f: StarPoly) -> StarPoly:
     """e + c f in one kernel call, for a coefficient list c: the update of
-    elimination steps and transvections."""
+    transvections and column reductions."""
     T = e.tower
     return StarPoly(T, T.poly_dot((((T.one,), e.coeffs), (c, f.coeffs))))
+
+
+class _Lists:
+    """The entries of a matrix as the kernel's coefficient lists, with the
+    kernel that runs on them, chosen once from the highest level of the
+    entries.  At level 0 the lists hold ints mod p and ``dot`` and
+    ``divmod`` are the tower's int kernel; above, they hold FieldElems and
+    the element-list kernel dispatches per call.  Elimination never takes an
+    entry above the level of its matrix, so the choice holds for a whole
+    loop, and ``poly`` builds StarPolys only for the returned entries."""
+
+    __slots__ = ("rows", "dot", "divmod", "neg", "one", "poly")
+
+    def __init__(self, A: PolyMatrix):
+        T = A.tower
+        E = A.entries
+        if any(c.level for row in E for e in row for c in e.coeffs):
+            self.rows = [[e.coeffs for e in row] for row in E]
+            self.dot, self.divmod, self.neg = T.poly_dot, T.poly_divmod, T.poly_neg
+            self.one = [T.one]
+            self.poly = lambda f: StarPoly(T, f)
+        else:
+            self.rows = [[[c.rep for c in e.coeffs] for e in row] for row in E]
+            dot, minus_one, elem = T._int_dot, [T.p - 1], T.elem
+            self.dot, self.divmod = dot, T._int_divmod
+            self.neg = lambda f: dot(((minus_one, f),))
+            self.one = [1]
+            self.poly = lambda f: StarPoly(T, [elem(v) for v in f])
 
 
 # ---------------- form structure ----------------
@@ -153,21 +189,29 @@ def form_kind(A: PolyMatrix) -> Optional[int]:
     """+1 for hermitian, -1 for skew-hermitian, None for neither.
 
     The zero matrix is both; hermitian is reported.  Compares A[j][i] with
-    A[i][j]* and -A[i][j]* over i <= j, dropping each kind at its first
+    A[i][j]* and -A[i][j]* over i <= j, coefficient by coefficient (the t^k
+    coefficient of a* is (-1)^k a_k), dropping each kind at its first
     mismatch.
     """
     if not A.is_square():
         return None
     E = A.entries
+    neg = A.tower.neg
     herm = skew = True
     for i, row in enumerate(E):
         for j in range(i, A.cols):
-            s = row[j].star()
-            b = E[j][i]
-            herm = herm and b == s
-            skew = skew and b == -s
-            if not (herm or skew):
+            a, b = row[j].coeffs, E[j][i].coeffs
+            if len(a) != len(b):
                 return None
+            for k, (x, y) in enumerate(zip(a, b)):
+                # hermitian: y = x at even k, y = -x at odd k; skew: the
+                # other way round
+                if herm and not (y == neg(x) if k & 1 else y is x or y == x):
+                    herm = False
+                if skew and not (y is x or y == x if k & 1 else y == neg(x)):
+                    skew = False
+                if not (herm or skew):
+                    return None
     return HERMITIAN if herm else SKEW
 
 
@@ -214,14 +258,16 @@ def determinant(A: PolyMatrix) -> StarPoly:
     T = A.tower
     if n == 0:
         return StarPoly.one(T)
-    M = [list(row) for row in A.entries]
+    K = _Lists(A)
+    dot, divmod_, neg = K.dot, K.divmod, K.neg
+    M = K.rows
     sign = 1
-    prev = StarPoly.one(T)
+    prev = None
     for k in range(n - 1):
-        if M[k][k].is_zero():
+        if not M[k][k]:
             pivot = None
             for i in range(k + 1, n):
-                if not M[i][k].is_zero():
+                if M[i][k]:
                     pivot = i
                     break
             if pivot is None:
@@ -229,18 +275,21 @@ def determinant(A: PolyMatrix) -> StarPoly:
             M[k], M[pivot] = M[pivot], M[k]
             sign = -sign
         Mk = M[k]
-        mkk = Mk[k].coeffs
+        mkk = Mk[k]
         for i in range(k + 1, n):
             # M_ij <- (M_kk M_ij - M_ik M_kj) / prev, exactly; prev = 1 at k = 0
             Mi = M[i]
-            neg = T.poly_neg(Mi[k].coeffs)
+            nik = neg(Mi[k])
             for j in range(k + 1, n):
-                e = StarPoly(T, T.poly_dot(((mkk, Mi[j].coeffs),
-                                            (neg, Mk[j].coeffs))))
-                Mi[j] = e.exact_div(prev) if k else e
-            Mi[k] = StarPoly.zero(T)
-        prev = M[k][k]
-    d = M[n - 1][n - 1]
+                e = dot(((mkk, Mi[j]), (nik, Mk[j])))
+                if k:
+                    e, r = divmod_(e, prev)
+                    if r:
+                        raise ValueError("division is not exact")
+                Mi[j] = e
+            Mi[k] = []
+        prev = mkk
+    d = K.poly(M[n - 1][n - 1])
     return -d if sign < 0 else d
 
 
@@ -285,37 +334,38 @@ class SmithForm:
 
 
 def _smith(A: PolyMatrix, track: bool):
-    """The Smith elimination loop: (M, U, V) as row lists with U A V = M
-    diagonal, monic divisibility chain.  U and V are None unless track.
+    """The Smith elimination loop: (M, U, V, poly), with M, U, V row lists
+    of coefficient lists (``_Lists``) such that U A V = M is diagonal with a
+    monic divisibility chain, and ``poly`` building a StarPoly from one of
+    them.  U and V are None unless track.
 
     Step k clears row and column k, so later operations only meet zeros
     outside rows and columns >= k: M is updated there alone, and zero
     entries of the pivot row or column are skipped."""
-    T = A.tower
+    K = _Lists(A)
+    dot, divmod_, neg, one = K.dot, K.divmod, K.neg, K.one
     m, n = A.rows, A.cols
-    M = [list(row) for row in A.entries]
+    M = K.rows
     U = V = None
     if track:
-        U = [list(row) for row in PolyMatrix.identity(T, m).entries]
-        V = [list(row) for row in PolyMatrix.identity(T, n).entries]
+        U = [[one if i == j else [] for j in range(m)] for i in range(m)]
+        V = [[one if i == j else [] for j in range(n)] for i in range(n)]
 
-    def row_op(i, j, q, k):  # row_i -= q * row_j  (on M from column k, and U)
-        nq = T.poly_neg(q.coeffs)
+    def row_op(i, j, c, k):  # row_i += c * row_j  (on M from column k, and U)
         Mi, Mj = M[i], M[j]
-        for c in range(k, n):
-            if Mj[c].coeffs:
-                Mi[c] = _add_mul(Mi[c], nq, Mj[c])
+        for col in range(k, n):
+            if Mj[col]:
+                Mi[col] = dot(((one, Mi[col]), (c, Mj[col])))
         if track:
             Ui, Uj = U[i], U[j]
-            for c in range(m):
-                if Uj[c].coeffs:
-                    Ui[c] = _add_mul(Ui[c], nq, Uj[c])
+            for col in range(m):
+                if Uj[col]:
+                    Ui[col] = dot(((one, Ui[col]), (c, Uj[col])))
 
-    def col_op(i, j, q, k):  # col_i -= q * col_j  (on M from row k, and V)
-        nq = T.poly_neg(q.coeffs)
+    def col_op(i, j, c, k):  # col_i += c * col_j  (on M from row k, and V)
         for R in M[k:] + V if track else M[k:]:
-            if R[j].coeffs:
-                R[i] = _add_mul(R[i], nq, R[j])
+            if R[j]:
+                R[i] = dot(((one, R[i]), (c, R[j])))
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
@@ -332,10 +382,11 @@ def _smith(A: PolyMatrix, track: bool):
             pivot = None
             best = None
             for i in range(k, m):
+                Mi = M[i]
                 for j in range(k, n):
-                    e = M[i][j]
-                    if not e.is_zero() and (best is None or e.degree() < best):
-                        best = e.degree()
+                    e = Mi[j]
+                    if e and (best is None or len(e) < best):
+                        best = len(e)
                         pivot = (i, j)
             if pivot is None:
                 break
@@ -343,18 +394,18 @@ def _smith(A: PolyMatrix, track: bool):
                 row_swap(k, pivot[0])
             if pivot[1] != k:
                 col_swap(k, pivot[1], k)
+            pk = M[k][k]
             dirty = False
             for i in range(k + 1, m):
-                if not M[i][k].is_zero():
-                    q = M[i][k] // M[k][k]
-                    row_op(i, k, q, k)
-                    if not M[i][k].is_zero():
+                if M[i][k]:
+                    row_op(i, k, neg(divmod_(M[i][k], pk)[0]), k)
+                    if M[i][k]:
                         dirty = True
+            Mk = M[k]
             for j in range(k + 1, n):
-                if not M[k][j].is_zero():
-                    q = M[k][j] // M[k][k]
-                    col_op(j, k, q, k)
-                    if not M[k][j].is_zero():
+                if Mk[j]:
+                    col_op(j, k, neg(divmod_(Mk[j], pk)[0]), k)
+                    if Mk[j]:
                         dirty = True
             if dirty:
                 continue
@@ -362,36 +413,37 @@ def _smith(A: PolyMatrix, track: bool):
             culprit = None
             for i in range(k + 1, m):
                 for j in range(k + 1, n):
-                    if not (M[i][j] % M[k][k]).is_zero():
+                    if divmod_(M[i][j], pk)[1]:
                         culprit = i
                         break
                 if culprit is not None:
                     break
             if culprit is None:
                 break
-            row_op(k, culprit, StarPoly.const(T, -1), k)  # row_k += row_culprit
-        if M[k][k].is_zero():
+            row_op(k, culprit, one, k)  # row_k += row_culprit
+        pk = M[k][k]
+        if not pk:
             break
-        if not M[k][k].lc().is_one():
+        if pk[-1] != one[0]:
             # row k is zero off the pivot, so only the pivot (and U) rescale
-            cp = StarPoly.const(T, T.inv(M[k][k].lc()))
-            M[k][k] = cp * M[k][k]
+            lc = [pk[-1]]
+            M[k][k] = divmod_(pk, lc)[0]
             if track:
-                U[k] = [cp * e if e.coeffs else e for e in U[k]]
-    return M, U, V
+                U[k] = [divmod_(e, lc)[0] if e else e for e in U[k]]
+    return M, U, V, K.poly
 
 
 def smith_form(A: PolyMatrix) -> SmithForm:
     T = A.tower
-    M, U, V = _smith(A, True)
-    factors = tuple(M[i][i] for i in range(min(A.rows, A.cols)))
-    return SmithForm(PolyMatrix(T, U), PolyMatrix(T, V), PolyMatrix(T, M), factors)
+    M, U, V, poly = _smith(A, True)
+    U, V, D = (PolyMatrix(T, [[poly(e) for e in row] for row in X]) for X in (U, V, M))
+    return SmithForm(U, V, D, tuple(D.entries[i][i] for i in range(min(A.rows, A.cols))))
 
 
 def invariant_factors(A: PolyMatrix) -> Tuple[StarPoly, ...]:
     """The diagonal of the Smith form, computed without U and V."""
-    M = _smith(A, False)[0]
-    return tuple(M[i][i] for i in range(min(A.rows, A.cols)))
+    M, _, _, poly = _smith(A, False)
+    return tuple(poly(M[i][i]) for i in range(min(A.rows, A.cols)))
 
 
 # ---------------- certificates and congruence moves ----------------

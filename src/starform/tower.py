@@ -35,6 +35,14 @@ involved, to one of two branches:
   (``_mul_slow`` for field elements, the generic loops in ``poly_mul`` and
   ``poly_divmod``, one product at a time in ``poly_dot``).
 
+The level-0 branch runs on int lists mod p (``_int_dot``, ``_int_divmod``),
+and the element-list kernel converts to them and back.  A tower that has
+not grown holds only level-0 elements, so there the kernel skips the scan
+for the highest level.  The elimination
+loops of ``polymat`` (Smith form, determinant) find the level of a matrix
+once and, at level 0, call these int bodies directly for the whole loop;
+above level 0 they run on element lists through the per-call dispatch.
+
 An extension-level inverse solves a linear system mod p once per element
 and is kept on it (``FieldElem._inv``); canonical elements are shared per
 level, so a divisor's leading coefficient is inverted once, not at every
@@ -578,8 +586,9 @@ class Tower:
     # method mutates its arguments.  The module docstring gives the two
     # branches of the dispatch.
 
-    @staticmethod
-    def _poly_level(f, g) -> int:
+    def _poly_level(self, f, g) -> int:
+        if not self.levels:  # nothing lies above F_p until the tower grows
+            return 0
         lv = 0
         for c in f:
             if c.level > lv:
@@ -663,35 +672,22 @@ class Tower:
         pairs in one int (level 0) or one packed int (an extension level)
         and is built as an element once; past the packed overflow bound the
         pairs are multiplied and added one at a time."""
-        live = []
-        lv = size = 0
-        for f, g in pairs:
-            if f and g:
-                live.append((f, g))
-                if len(f) + len(g) > size:
-                    size = len(f) + len(g)
+        live = [(f, g) for f, g in pairs if f and g]
+        if not live:
+            return []
+        lv = 0
+        if self.levels:  # nothing lies above F_p until the tower grows
+            for f, g in live:
                 for c in f:
                     if c.level > lv:
                         lv = c.level
                 for c in g:
                     if c.level > lv:
                         lv = c.level
-        if not live:
-            return []
         if lv == 0:
-            acc = [0] * (size - 1)
-            for f, g in live:
-                b = [y.rep for y in g]
-                for i, x in enumerate(f):
-                    x = x.rep
-                    if x:
-                        for j, y in enumerate(b, i):
-                            acc[j] += x * y
-            p = self.p
-            while acc and not acc[-1] % p:
-                acc.pop()
             cache = self._fp_cache
-            return [cache[v % p] for v in acc]
+            return [cache[v] for v in self._int_dot(
+                [([x.rep for x in f], [y.rep for y in g]) for f, g in live])]
         ff = self._flat(lv)
         if sum(min(len(f), len(g)) for f, g in live) > ff.max_pairs:
             out: List[FieldElem] = []
@@ -701,6 +697,21 @@ class Tower:
         D = ff.D
         out = [self._from_packed(lv, D, v) for v in self._packed_dot(live, ff)]
         return self.poly_trim(out)
+
+    def _int_dot(self, pairs) -> List[int]:
+        """poly_dot on int lists mod p (a nonempty list of pairs, which may
+        hold empty lists): the trimmed, reduced sum of the products f_i g_i,
+        accumulated in one int per output coefficient."""
+        acc = [0] * (max([len(f) + len(g) for f, g in pairs]) - 1)
+        for f, g in pairs:
+            for i, x in enumerate(f):
+                if x:
+                    for j, y in enumerate(g, i):
+                        acc[j] += x * y
+        p = self.p
+        while acc and not acc[-1] % p:
+            acc.pop()
+        return [v % p for v in acc]
 
     def _int_divmod(self, a: List[int], b: List[int]):
         """Quotient and trimmed remainder of int lists mod p (``b`` trimmed,

@@ -34,6 +34,56 @@ def rand_matrix(T, rng, n, maxdeg):
                           for _ in range(n)])
 
 
+def rand_ext_poly(T, rng, maxdeg):
+    """A random polynomial whose coefficients lie in the top level of T."""
+    deg = rng.randint(-1, maxdeg)
+    coeffs = [T.random_element(T.num_levels(), rng) for _ in range(deg + 1)]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs[-1] = T.random_element(T.num_levels(), rng)
+    return StarPoly(T, coeffs)
+
+
+def quadratic_tower(p):
+    """A tower over F_p grown by one quadratic level u1."""
+    T = Tower(p)
+    T.grow_quadratic()
+    return T
+
+
+def elimination_cases(rng, trials, maxn, maxdeg):
+    """(label, A) over towers that exercise both branches of the
+    elimination loops: entries in a quadratic level u1, F_p entries with one
+    u1 entry away from the corner, F_p entries in a tower that has already
+    grown a level (the loop must take the level from the entries, not from
+    the tower), and F_65537."""
+    for label in ("u1", "mixed", "grown", "65537"):
+        T = Tower(65537) if label == "65537" else quadratic_tower(rng.choice([3, 5]))
+        for _ in range(trials):
+            m, n = rng.randint(1, maxn), rng.randint(1, maxn)
+            poly = rand_ext_poly if label == "u1" else rand_poly
+            rows = [[poly(T, rng, maxdeg) for _ in range(n)] for _ in range(m)]
+            if label == "mixed":
+                i, j = rng.randrange(m), rng.randrange(n)
+                if m * n > 1 and (i, j) == (0, 0):
+                    i, j = m - 1, n - 1
+                e = StarPoly.monomial(T, T.generator(1), rng.randint(0, maxdeg))
+                rows[i][j] = rows[i][j] + e
+            yield label, PolyMatrix(T, rows)
+
+
+def det_by_cofactors(A):
+    """The determinant by expansion along the first row."""
+    n = A.rows
+    if n == 0:
+        return StarPoly.one(A.tower)
+    total = StarPoly.zero(A.tower)
+    for j in range(n):
+        minor = A.submatrix(range(1, n), [c for c in range(n) if c != j])
+        term = A.entries[0][j] * det_by_cofactors(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
 def rand_eps_form(T, rng, n, eps, maxdeg):
     z = StarPoly.zero(T)
     E = [[z] * n for _ in range(n)]
@@ -163,6 +213,8 @@ def test_determinant_congruence_law():
 
 
 def test_determinant_multiplicative():
+    """det(AB) = det A det B, and det A equals its cofactor expansion, over
+    F_3 and over the towers of elimination_cases."""
     T = Tower(3)
     rng = random.Random(4)
     for _ in range(25):
@@ -170,6 +222,14 @@ def test_determinant_multiplicative():
         A = rand_matrix(T, rng, n, 3)
         B = rand_matrix(T, rng, n, 3)
         assert determinant(A @ B) == determinant(A) * determinant(B)
+        assert determinant(A) == det_by_cofactors(A)
+    for label, A in elimination_cases(rng, 12, 3, 2):
+        A = A.submatrix(range(min(A.rows, A.cols)), range(min(A.rows, A.cols)))
+        B = PolyMatrix(A.tower, [list(reversed(row)) for row in A.entries])
+        dA = determinant(A)
+        assert dA == det_by_cofactors(A), label
+        assert determinant(B) == det_by_cofactors(B), label
+        assert determinant(A @ B) == dA * determinant(B), label
 
 
 # ---------------- smith form ----------------
@@ -206,6 +266,14 @@ def test_smith_random_properties():
             if i != j:
                 red.transvection(i, j, rand_poly(T, rng, 2))
         assert invariant_factors(red.B) == sf.factors
+    for label, A in elimination_cases(rng, 8, 3, 2):
+        sf = smith_form(A)
+        assert (sf.U @ A) @ sf.V == sf.D, label
+        assert is_unimodular(sf.U) and is_unimodular(sf.V), label
+        nz = [f for f in sf.factors if not f.is_zero()]
+        assert all(f.lc().is_one() for f in nz), label
+        assert all(a.divides(b) for a, b in zip(nz, nz[1:])), label
+        assert invariant_factors(A) == sf.factors, label
 
 
 def test_t_scaling_law():
@@ -246,6 +314,15 @@ def test_invariant_factors_match_smith_form():
     fs = invariant_factors(A)
     assert fs == smith_form(A).factors
     assert fs[0].is_one() and fs[1].degree() == 5
+    for label, A in elimination_cases(rng, 10, 4, 3):
+        fs = invariant_factors(A)
+        assert fs == smith_form(A).factors, label
+        if A.rows >= 2:  # a repeated row lowers the rank
+            S = PolyMatrix(A.tower, list(A.entries[:-1]) + [A.entries[0]])
+            fs = invariant_factors(S)
+            assert fs == smith_form(S).factors, label
+            if A.rows <= A.cols:
+                assert fs[-1].is_zero(), label
 
 
 # ---------------- matrix gcd ----------------
