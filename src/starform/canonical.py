@@ -238,31 +238,27 @@ def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, List]:
     n = A.rows
     if n == 0:
         return PolyMatrix.identity(T, 0), []
+    comp = compress_form(A)
+    A = comp.B
     d, par = gcd_of_matrix(A)
     A2 = A.exact_div(d)
     eps2 = eps if par == EVEN else -eps
     if n == 1:
         c = A2.entries[0][0].constant_value()
         s = StarPoly.const(T, T.inv(T.sqrt(c)))
-        return PolyMatrix(T, [[s]]), [Block1(d)]
+        return comp.S @ PolyMatrix(T, [[s]]), [Block1(d)]
     if eps2 == HERMITIAN:
-        v = represent_one(A2)
-        cert1 = split_one(A2, v)
-        # cert1 certifies A2 = A / d, so S* A S = d B
-        sub = cert1.B.submatrix(range(1, n), range(1, n)).scale(d)
-        comp = compress_form(sub)
-        S_sub, blocks_sub = _core(comp.B, eps)
-        S = cert1.S @ PolyMatrix.block_diag(
-            T, [PolyMatrix.identity(T, 1), comp.S @ S_sub])
-        return S, [Block1(d)] + blocks_sub
-    res = sk_split(A2)
-    p = canonical_pure_factor((res.f * res.f.star()).monic())
-    sw = block_swap(res.f, p)
-    sub = res.cert.B.submatrix(range(2, n), range(2, n)).scale(d)
-    comp = compress_form(sub)
-    S_sub, blocks_sub = _core(comp.B, eps)
-    S = res.cert.S @ PolyMatrix.block_diag(T, [sw.S, comp.S @ S_sub])
-    return S, [Block2(d, p, eps)] + blocks_sub
+        cert = split_one(A2, represent_one(A2))
+        head, k, block = PolyMatrix.identity(T, 1), 1, Block1(d)
+    else:
+        res = sk_split(A2)
+        p = canonical_pure_factor((res.f * res.f.star()).monic())
+        cert = res.cert
+        head, k, block = block_swap(res.f, p).S, 2, Block2(d, p, eps)
+    # cert certifies A2 = A / d, so S* A S = d B
+    S_sub, blocks_sub = _core(cert.B.submatrix(range(k, n), range(k, n)).scale(d), eps)
+    S = comp.S @ cert.S @ PolyMatrix.block_diag(T, [head, S_sub])
+    return S, [block] + blocks_sub
 
 
 def canonicalize(A: PolyMatrix, eps: int) -> Tuple[Certificate, CanonicalBlocks]:

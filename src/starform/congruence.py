@@ -4,6 +4,10 @@ matrices over F[t] with t -> -t.
 Every public operation returns data wrapped in an exactly verified
 Certificate (S unimodular, S* A S = B).  The entry points:
 
+- ``compress_form``: a nonsingular form -> a congruent one whose entries
+  have degree at most deg det A, in at most sum s - deg det / 2
+  leading-matrix moves for shifts s with deg a_ij <= s_i + s_j (on tA for
+  skew A).  ``represent_one`` and ``sk_split`` reduce their input first.
 - ``isotropic_vector``: a primitive nonzero v with v* A v = 0.
 - ``represent_one`` / ``split_one``: hermitian gcd-1 matrices represent 1
   and split off a (1) block.
@@ -53,66 +57,116 @@ def _basis_vector(tower: Tower, n: int, i: int, value: Optional[StarPoly] = None
 
 
 # ---------------------------------------------------------------------------
-# isotropic vectors
+# degree reduction
 # ---------------------------------------------------------------------------
 
-def compress_form(A: PolyMatrix, passes: int = 10) -> Certificate:
-    """Greedy degree reduction of an eps-form under congruence.
+def compress_form(A: PolyMatrix) -> Certificate:
+    """Congruence from a nonsingular eps-form A to one whose entries have
+    degree at most deg det A: the congruence analogue of leading-matrix
+    reduction (Mulders-Storjohann, JSC 2003).
 
-    A paired transvection col_j += x col_i (x = -quotient at the worst row
-    of column j) is applied when an upper bound on the resulting total
-    degree is strictly smaller than the current one; since the bound is an
-    upper bound, no undo is ever needed.  Keeps the block recursions from
-    snowballing entry degrees."""
-    red = Reduction(A)
+    It reduces the hermitian form H = A, or H = tA when A is skew (the same
+    moves then give S* A S = S* H S / t), under shifts s with
+    deg h_ij <= s_i + s_j.  The leading matrix L_ij = [t^(s_i+s_j)] h_ij has
+    det L = [t^(2 sum s)] det H, so 2 sum s >= deg det H, with equality
+    exactly when L is nonsingular.
+    - While L is singular, take c with L c = 0 and j in its support with the
+      largest s_j.  col_j += (c_i/c_j) t^(s_j-s_i) col_i clears the
+      t^(s_k+s_j) coefficient of every entry of column j (the even diagonal
+      drops by 2), so s_j - 1 is a shift: sum s falls by one per move.
+    - Then L is nonsingular.  While the least shift s_i lies below 0 (below 1
+      for skew A), row i of L has an entry L_iq != 0 with L_ii = 0.  Clearing
+      row q of L against column i lets s_i rise and s_q fall by one, which
+      keeps sum s and lowers sum s^2 when s_q >= s_i + 2.  A skew pair with
+      s = (0, 1) is instead split off at infinity by also clearing row i
+      against column q.
+    Then deg h_ij <= s_i + s_j <= 2 sum s for hermitian A; for skew A the
+    pairs and the shifts >= 1 bound deg a_ij by deg det A = 2 sum s - n."""
+    T = A.tower
     n = A.rows
+    red = Reduction(A)
     if n < 2:
         return red.certificate()
+    # h_ij = t^o a_ij; a nonzero entry and its mirror tell the kind
+    r, c = next((r, c) for r in range(n) for c in range(r, n) if A.entries[r][c])
+    o = int(A.entries[c][r] != A.entries[r][c].star())
+    s = [max(e.degree() + o for e in row) for row in A.entries]
 
-    def coldeg(M, j):
-        return [e.degree() for e in M.column(j)]
+    def lead(i: int, j: int):
+        return red.B.entries[i][j].coeff(s[i] + s[j] - o)
 
-    for _ in range(passes):
-        improved = False
-        for j in range(n):
-            dj = coldeg(red.B, j)
-            r = max(range(n), key=lambda k: dj[k])
-            if dj[r] <= 0:
-                continue
-            best = None
-            for i in range(n):
-                if i == j:
-                    continue
-                a = red.B.entries[r][i]
-                b = red.B.entries[r][j]
-                if a.is_zero() or b.is_zero() or a.degree() > b.degree():
-                    continue
-                q = b // a
-                if q.is_zero():
-                    continue
-                qd = q.degree()
-                di = coldeg(red.B, i)
-                dii = red.B.entries[i][i].degree()
-                delta = 0
-                for k in range(n):
-                    old = max(dj[k], 0)
-                    if k == r:
-                        new = max(a.degree() - 1, 0)
-                    elif k == j:
-                        new = max(dj[k], qd + di[k], 2 * qd + dii, 0)
-                    else:
-                        new = max(dj[k], qd + di[k], 0)
-                    delta += new - old
-                if delta < 0 and (best is None or delta < best[0]):
-                    best = (delta, i, q)
-            if best is not None:
-                _, i, q = best
-                red.transvection(i, j, -q)
-                improved = True
-        if not improved:
+    def lower() -> None:
+        # coordinate descent: each shift as low as the others allow
+        D = [[(j, e.degree() + o) for j, e in enumerate(row) if e.coeffs]
+             for row in red.B.entries]
+        changed = True
+        while changed:
+            changed = False
+            for i, row in enumerate(D):
+                lo = max(d - s[j] if j != i else d // 2 for j, d in row)
+                if lo < s[i]:
+                    s[i] = lo
+                    changed = True
+
+    def clear(i: int, q: int) -> None:
+        # zero row q of L outside column i by col_k += x col_i (L_ii = 0)
+        piv = lead(q, i)
+        if lead(q, q):
+            red.transvection(i, q, StarPoly.monomial(
+                T, -lead(q, q) / (2 * piv), s[q] - s[i]))
+        for k in range(n):
+            if k != i and k != q and lead(q, k):
+                red.transvection(i, k, StarPoly.monomial(
+                    T, -lead(q, k) / piv, s[k] - s[i]))
+
+    def transfer() -> bool:
+        for i in sorted(range(n), key=lambda k: (s[k], k)):
+            if s[i] >= o:
+                return False
+            q = max((k for k in range(n) if lead(i, k)), key=lambda k: (s[k], -k))
+            if s[q] >= s[i] + 2:
+                clear(i, q)
+                s[i] += 1
+                s[q] -= 1
+                return True
+        return False
+
+    lower()
+    moves = 0
+    while True:
+        L = PolyMatrix(T, [[StarPoly.const(T, lead(i, j)) for j in range(n)]
+                           for i in range(n)])
+        if not determinant(L).is_zero():
             break
+        if not moves:
+            # deg det H = deg det A + n o, found only when a move is due
+            dd = determinant(A).degree()
+            _require(dd >= 0, "compress_form needs a nonsingular form")
+            budget = sum(s) - (dd + n * o) // 2
+        moves += 1
+        _require(moves <= budget, "compress_form overran its move bound")
+        sf = smith_form(L)
+        c = [e.constant_value() for e in sf.V.column(sum(1 for f in sf.factors if f))]
+        support = [i for i in range(n) if c[i]]
+        j = max(support, key=lambda i: (s[i], -i))
+        for i in support:
+            if i != j:
+                red.transvection(i, j, StarPoly.monomial(T, c[i] / c[j], s[j] - s[i]))
+        s[j] -= 1
+        lower()
+    while transfer():
+        pass
+    for i in range(n):
+        if s[i] < o:  # skew, s_i = 0: its partners at infinity have s = 1
+            q = next(k for k in range(n) if lead(i, k))
+            clear(i, q)
+            clear(q, i)
     return red.certificate()
 
+
+# ---------------------------------------------------------------------------
+# isotropic vectors
+# ---------------------------------------------------------------------------
 
 def isotropic_vector(A: PolyMatrix, kind: int) -> List[StarPoly]:
     """Primitive nonzero v with v* A v = 0.
@@ -226,42 +280,9 @@ def _homogeneous_bezout(a0: StarPoly, b: StarPoly) -> Tuple[StarPoly, StarPoly]:
     return x, y
 
 
-def _vector_bezout(rs: Sequence[StarPoly]) -> Tuple[StarPoly, List[StarPoly]]:
-    """(g, w) with sum r_i w_i = g = monic gcd of the r_i."""
-    T = rs[0].tower
-    g = StarPoly.zero(T)
-    w = [StarPoly.zero(T)] * len(rs)
-    for i, r in enumerate(rs):
-        if r.is_zero():
-            continue
-        if g.is_zero():
-            c = T.inv(r.lc())
-            g = r * c
-            w[i] = StarPoly.const(T, c)
-            continue
-        g2, u, v = gcd_bezout(g, r)
-        w = [u * x for x in w]
-        w[i] = w[i] + v
-        g = g2
-        if g.is_one():
-            break
-    # pairwise degree reduction along the relations (w_i, w_j) ->
-    # (w_i - q r_j, w_j + q r_i)
-    for _ in range(2):
-        for i in range(len(rs)):
-            for j in range(len(rs)):
-                if i == j or rs[j].is_zero() or w[i].is_zero():
-                    continue
-                if w[i].degree() >= rs[j].degree() > 0:
-                    q = w[i] // rs[j]
-                    w[i] = w[i] - q * rs[j]
-                    w[j] = w[j] + q * rs[i]
-    return g, w
-
-
-def _solve_sesquilinear(aa: StarPoly, rhs: StarPoly, sign: str) -> Optional[StarPoly]:
-    """z with aa z + (aa z)* = rhs (sign '+') or aa z - (aa z)* = rhs ('-'),
-    or None when the divisibility/parity obstruction blocks it."""
+def _solve_sesquilinear(aa: StarPoly, rhs: StarPoly) -> Optional[StarPoly]:
+    """z with aa z - (aa z)* = rhs, or None when the divisibility/parity
+    obstruction blocks it."""
     T = aa.tower
     if rhs.is_zero():
         return StarPoly.zero(T)
@@ -271,8 +292,7 @@ def _solve_sesquilinear(aa: StarPoly, rhs: StarPoly, sign: str) -> Optional[Star
     q, rem = divmod(rhs, g0)
     if not rem.is_zero():
         return None
-    sigma = 1 if g0.star() == g0 else -1
-    inner = sign if sigma == 1 else ("-" if sign == "+" else "+")
+    inner = "-" if g0.star() == g0 else "+"
     try:
         return solve_norm_equation(ghat, q, inner)
     except ValueError:
@@ -314,22 +334,17 @@ def _frame_conjugators(A: PolyMatrix) -> List[PolyMatrix]:
     return out
 
 
-def _smith_frame_vectors(A: PolyMatrix, eps: int, scale0: StarPoly,
-                         mu_count: int = 4):
-    """Isotropic vectors v with pairing ideal exactly (scale0), searched in
-    Smith sublattice frames {V e0 * scale0, V e_j}.
+def _smith_frame_vectors(A: PolyMatrix, scale0: StarPoly, mu_count: int = 4):
+    """For skew-hermitian A: isotropic vectors v with pairing ideal exactly
+    (scale0), searched in Smith sublattice frames {V e0 * scale0, V e_j}.
 
     Any c = e0 + z e_j + mu e_k maps to a vector whose image under A is
     scale0 times a unimodular image of a primitive column, so only the
     isotropy corrector equation is in question.  Yields candidates lazily."""
     T = A.tower
     n = A.rows
-    sign = "+" if eps == HERMITIAN else "-"
     mus = [StarPoly.const(T, m) for m in range(1, mu_count + 1)]
-    frames = _frame_conjugators(A)
-    if sum(max(e.degree(), 0) for row in A.entries for e in row) > 40 * n * n:
-        frames = frames[:1]
-    for M in frames:
+    for M in _frame_conjugators(A):
         A2 = (M.star_transpose() @ A) @ M
         V = _reduce_frame_columns(smith_form(A2).V)
         K_cols = [V.column(j) for j in range(n)]
@@ -354,7 +369,7 @@ def _smith_frame_vectors(A: PolyMatrix, eps: int, scale0: StarPoly,
                 continue
             aa0 = G.entries[0][j]
             if not aa0.is_zero():
-                z = _solve_sesquilinear(aa0, -base, sign)
+                z = _solve_sesquilinear(aa0, -base)
                 if z is not None:
                     c = _basis_vector(T, n, 0)
                     c[j] = z
@@ -366,17 +381,11 @@ def _smith_frame_vectors(A: PolyMatrix, eps: int, scale0: StarPoly,
                 g0k = G.entries[0][k]
                 gkk = G.entries[k][k]
                 for mu in mus:
-                    if eps == HERMITIAN:
-                        aa = aa0 + mu * gjk.star()
-                        rhs = -(base + mu * (g0k + g0k.star())
-                                + (mu * mu) * gkk)
-                    else:
-                        aa = aa0 - mu * gjk.star()
-                        rhs = -(base + mu * (g0k - g0k.star())
-                                + (mu * mu) * gkk)
+                    aa = aa0 - mu * gjk.star()
+                    rhs = -(base + mu * (g0k - g0k.star()) + (mu * mu) * gkk)
                     if aa.is_zero():
                         continue
-                    z = _solve_sesquilinear(aa, rhs, sign)
+                    z = _solve_sesquilinear(aa, rhs)
                     if z is None:
                         continue
                     c = _basis_vector(T, n, 0)
@@ -387,55 +396,44 @@ def _smith_frame_vectors(A: PolyMatrix, eps: int, scale0: StarPoly,
 
 def _cheap_unit_vector(A: PolyMatrix) -> Optional[List[StarPoly]]:
     """Degree-zero probes for a vector representing 1: a constant unit on
-    the diagonal (possibly after a constant two-coordinate mix)."""
+    the diagonal, possibly after a constant two-coordinate mix.  A probe
+    whose constant is a square in the current field wins, so the square
+    root grows the tower only when no probe has one."""
     T = A.tower
     n = A.rows
-    for i in range(n):
-        d = A.entries[i][i]
-        if not d.is_zero() and d.degree() == 0:
-            s = T.inv(T.sqrt(d.constant_value()))
-            return _basis_vector(T, n, i, StarPoly.const(T, s))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            aii = A.entries[i][i]
-            ajj = A.entries[j][j]
-            mix = A.entries[i][j] + A.entries[j][i]
-            for m in range(1, T.p):
-                lam = StarPoly.const(T, m)
-                probe = aii + lam * mix + lam * lam * ajj
-                if not probe.is_zero() and probe.degree() == 0:
-                    s = T.inv(T.sqrt(probe.constant_value()))
-                    v = _basis_vector(T, n, i, StarPoly.const(T, s))
-                    v[j] = lam * StarPoly.const(T, s)
-                    return v
-    return None
+    E = A.entries
+    half = (T.field_order(T.num_levels()) - 1) // 2
 
+    def probes():
+        for i in range(n):
+            yield E[i][i], _basis_vector(T, n, i)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    a, b, c = E[i][i], E[i][j] + E[j][i], E[j][j]
+                    # the top coefficient must vanish first
+                    k = max(a.degree(), b.degree(), c.degree())
+                    for m in range(1, T.p):
+                        if k > 0 and a.coeff(k) + m * b.coeff(k) + m * m * c.coeff(k):
+                            continue
+                        lam = StarPoly.const(T, m)
+                        v = _basis_vector(T, n, i)
+                        v[j] = lam
+                        yield a + lam * b + lam * lam * c, v
 
-def _hyperbolic_unit_vector(A: PolyMatrix) -> Optional[List[StarPoly]]:
-    """Growth-free unit-representing vector for hermitian A with gcd 1:
-    search the Smith sublattices for an isotropic v whose pairing ideal is
-    (1), then complete it to a hyperbolic pair.  Returns None when no
-    corrector solves."""
-    T = A.tower
-    for v in _smith_frame_vectors(A, HERMITIAN, StarPoly.one(T)):
-        if not form_value(A, v, v).is_zero():
-            continue
-        Av = apply_matrix(A, v)
-        g, w = _vector_bezout([e.star() for e in Av])
-        if not g.is_one():
-            continue
-        # f(v, w) = 1; make w isotropic without disturbing the pairing, then
-        # u = v/2 + w' has f(u, u) = 1
-        beta = form_value(A, w, w)
-        rho = beta * T.inv(T.elem(2))
-        w2 = [wi - vi * rho for wi, vi in zip(w, v)]
-        half = StarPoly.const(T, T.inv(T.elem(2)))
-        u = [vi * half + wi for vi, wi in zip(v, w2)]
-        if form_value(A, u, u).is_one():
-            return u
-    return None
+    found = None
+    for value, v in probes():
+        if value.degree() == 0:
+            c = value.constant_value()
+            square = T.pow(c, half).is_one()
+            if found is None or square:
+                found = (c, v)
+            if square:
+                break
+    if found is None:
+        return None
+    s = StarPoly.const(T, T.inv(T.sqrt(found[0])))
+    return [e * s for e in found[1]]
 
 
 def _unit_vector_2x2(red: Reduction) -> List[StarPoly]:
@@ -453,10 +451,6 @@ def _unit_vector_2x2(red: Reduction) -> List[StarPoly]:
     return u
 
 
-def _total_degree(A: PolyMatrix) -> int:
-    return sum(max(e.degree(), 0) for row in A.entries for e in row)
-
-
 def represent_one(A: PolyMatrix) -> List[StarPoly]:
     """v with v* A v = 1 for hermitian A with gcd(A) = 1."""
     T = A.tower
@@ -466,14 +460,6 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
     d, _ = gcd_of_matrix(A)
     if not d.is_one():
         raise ValueError("represent_one needs gcd(A) = 1")
-    if n >= 2 and _total_degree(A) > 20 * n * n:
-        comp = compress_form(A)
-        if _total_degree(comp.B) < _total_degree(A):
-            v1 = represent_one(comp.B)
-            v = apply_matrix(comp.S, v1)
-            _require(form_value(A, v, v).is_one(),
-                     "represent_one vector does not represent 1")
-            return v
     if determinant(A).is_zero():
         cert = kernel_split(A)
         # the zero block leads; its size is the index of the first nonzero row
@@ -483,28 +469,30 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
         core = cert.B.submatrix(range(k, n), range(k, n))
         v1 = represent_one(core)
         v = [StarPoly.zero(T)] * k + v1
-        v = apply_matrix(cert.S, v)
-        _require(form_value(A, v, v).is_one(),
-                 "represent_one vector does not represent 1")
-        return v
-    if n == 1:
+    elif n == 1:
         c = A.entries[0][0].constant_value()
-        r = T.inv(T.sqrt(c))
-        return [StarPoly.const(T, r)]
+        return [StarPoly.const(T, T.inv(T.sqrt(c)))]
+    else:
+        cert = compress_form(A)
+        v = _unit_vector(cert.B)
+    v = apply_matrix(cert.S, v)
+    _require(form_value(A, v, v).is_one(),
+             "represent_one vector does not represent 1")
+    return v
+
+
+def _unit_vector(A: PolyMatrix) -> List[StarPoly]:
+    """v with v* A v = 1 for reduced nonsingular hermitian A, n >= 2, with
+    gcd(A) = 1."""
+    T = A.tower
+    n = A.rows
     u = _cheap_unit_vector(A)
-    if u is not None:
-        return u
-    u = _hyperbolic_unit_vector(A)
     if u is not None:
         return u
     red = Reduction(A)
     _isotropic_to_corner(red, HERMITIAN)
     if n == 2:
-        u = _unit_vector_2x2(red)
-        v = apply_matrix(red.S, u)
-        _require(form_value(A, v, v).is_one(),
-                 "represent_one vector does not represent 1")
-        return v
+        return apply_matrix(red.S, _unit_vector_2x2(red))
     _reduce_row_tail(red, n - 1)
     # scan lambda until the trailing (n-1)-block of the shifted matrix has
     # entry gcd 1; only finitely many scalars fail.  Shifting by lambda only
@@ -544,13 +532,7 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
     sub = red.B.submatrix(range(1, n), range(1, n))
     sub_g, _ = gcd_of_matrix(sub)
     _require(sub_g.is_one(), "lambda scan left a trailing block with gcd != 1")
-    comp = compress_form(sub)
-    v1 = represent_one(comp.B)
-    v1 = apply_matrix(comp.S, v1)
-    v = apply_matrix(red.S, [StarPoly.zero(T)] + v1)
-    _require(form_value(A, v, v).is_one(),
-             "represent_one vector does not represent 1")
-    return v
+    return apply_matrix(red.S, [StarPoly.zero(T)] + represent_one(sub))
 
 
 def split_one(A: PolyMatrix, v: Sequence[StarPoly]) -> Certificate:
@@ -836,7 +818,7 @@ class _PivotSearch:
         factor of f2: its frame combinations have pairing exactly (f)
         whenever the isotropy corrector solves."""
         count = 0
-        for v in _smith_frame_vectors(self.red.B, SKEW, self.f_target):
+        for v in _smith_frame_vectors(self.red.B, self.f_target):
             if self._improves(v, m):
                 self._commit(v)
                 return True
@@ -975,26 +957,21 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
         raise ValueError("sk_split needs det(A) != 0")
     if n < 2:
         raise ValueError("sk_split needs n >= 2")
-    if n >= 3 and _total_degree(A) > 20 * n * n:
-        comp = compress_form(A)
-        if _total_degree(comp.B) < _total_degree(A):
-            inner = sk_split(comp.B)
-            S = comp.S @ inner.cert.S
-            return SkewSplitResult(Certificate(S, inner.cert.B), inner.f,
-                                   inner.nu, inner.D)
     factors = invariant_factors(A)
     f2 = factors[1]
     if f2.parity() != EVEN or f2.eval(T.zero).is_zero():
         raise ReductionError("second invariant factor is not an admissible norm")
     nu = f2.degree() // 2
+    red = Reduction(A)
+    comp = compress_form(A)
+    red.S, red.B = comp.S, comp.B
     if n == 2:
-        cert = sk2_zero_diagonal(A)
-        f = cert.B.entries[0][1]
+        red.apply(sk2_zero_diagonal(red.B).S)
+        f = red.B.entries[0][1]
         _require(is_pure(f) and f.degree() == nu,
                  "skew split f is not pure of degree nu")
-        return SkewSplitResult(cert, f, nu, PolyMatrix.zeros(T, 0, 0))
+        return SkewSplitResult(red.certificate(), f, nu, PolyMatrix.zeros(T, 0, 0))
     f_target = canonical_pure_factor(f2)
-    red = Reduction(A)
     _PivotSearch(red, nu, f_target).run()
     _dx_descent(red)
     g = red.B.entries[0][1]

@@ -269,6 +269,45 @@ def _f3_polys(T, maxdeg):
     return out
 
 
+_SLOT = 16  # bits per coefficient in a packed F_3[t] polynomial
+
+
+def _pack(coeffs):
+    """Int coefficients (in 0..p-1) as one int, coefficient k in bits
+    [16k, 16k + 16), so that sums of products of packed polynomials hold
+    their coefficients exactly while every slot stays below 2^16."""
+    return sum(c << (_SLOT * k) for k, c in enumerate(coeffs))
+
+
+def _packed_zero_mod(x, p):
+    """Whether every coefficient slot of the packed polynomial x is 0 mod p."""
+    while x:
+        if (x & ((1 << _SLOT) - 1)) % p:
+            return False
+        x >>= _SLOT
+    return True
+
+
+def _packed_isotropic(A, vec_pool, vec_pairs):
+    """The first pair (v1, v2) of vec_pairs with v* A v = 0, for a 2x2 form
+    A over F_p with small degrees, evaluated on packed int coefficients:
+    v* A v = v1* (a11 v1 + a12 v2) + v2* (a21 v1 + a22 v2).  Slots stay
+    below 2^16 for entries of degree <= 2, vectors of degree <= 3 and
+    p = 3."""
+    p = A.tower.p
+    ints = lambda f: [c.rep for c in f.coeffs]
+    vs = [_pack(ints(v)) for v in vec_pool]
+    stars = [_pack([(-c) % p if k & 1 else c for k, c in enumerate(ints(v))])
+             for v in vec_pool]
+    (a11, a12), (a21, a22) = [[_pack(ints(e)) for e in row] for row in A.entries]
+    p11, p12, p21, p22 = ([a * v for v in vs] for a in (a11, a12, a21, a22))
+    for i1, i2 in vec_pairs:
+        x = stars[i1] * (p11[i1] + p12[i2]) + stars[i2] * (p21[i1] + p22[i2])
+        if _packed_zero_mod(x, p):
+            return vec_pool[i1], vec_pool[i2]
+    return None
+
+
 def test_criterion_6_isotropy_oracle():
     t0 = time.time()
     T = Tower(3)
@@ -276,7 +315,8 @@ def test_criterion_6_isotropy_oracle():
     odd_pool = [p for p in _f3_polys(T, 2) if p.is_odd()]
     off_pool = _f3_polys(T, 2)
     vec_pool = _f3_polys(T, 3)
-    vec_pairs = [(v1, v2) for v1 in vec_pool for v2 in vec_pool
+    vec_pairs = [(i1, i2) for i1, v1 in enumerate(vec_pool)
+                 for i2, v2 in enumerate(vec_pool)
                  if not (v1.is_zero() and v2.is_zero())]
 
     rng = random.Random(0xC6)
@@ -307,12 +347,9 @@ def test_criterion_6_isotropy_oracle():
         # brute force over prime-field vectors of entry degree <= 3; anything
         # it finds must agree with the evaluator, and when the formula vector
         # itself has prime-field entries the brute search must see it too
-        found = None
-        for v1, v2 in vec_pairs:
-            if form_value(A, [v1, v2], [v1, v2]).is_zero():
-                found = (v1, v2)
-                break
+        found = _packed_isotropic(A, vec_pool, vec_pairs)
         if found is not None:
+            assert form_value(A, list(found), list(found)).is_zero()
             brute_hits += 1
         if all(c.level == 0 for x in v for c in x.coeffs) \
                 and max((x.degree() for x in v), default=0) <= 3:

@@ -280,12 +280,18 @@ def test_congruence_is_equivalence_on_corpus():
                     assert are_congruent(A, C, SKEW)[0]
 
 
-@pytest.mark.parametrize("seed, n", [
-    (15, 5),  # needs _hyperbolic_unit_vector: without it, over 60 s
-    (6, 6),   # a stale column read in reduce_columns grows the tower to u1
+@pytest.mark.parametrize("p, n, eps, seed", [
+    # needed _hyperbolic_unit_vector before compress_form reached deg det
+    pytest.param(5, 5, HERMITIAN, 15, id="15-5"),
+    # a stale column read in reduce_columns grew the tower to u1
+    pytest.param(5, 6, HERMITIAN, 6, id="6-6"),
+    # never finished while compress_form left entries far above deg det
+    (3, 4, HERMITIAN, 15), (5, 4, HERMITIAN, 15), (7, 4, HERMITIAN, 15),
+    (7, 6, HERMITIAN, 15), (5, 4, HERMITIAN, 5411), (7, 4, SKEW, 7454),
+    (7, 6, SKEW, 7654),
 ])
-def test_scrambled_regressions_stay_in_prime_field(seed, n):
-    inst = generate(RandomSpec(seed=seed, p=5, n=n, eps=HERMITIAN,
+def test_scrambled_regressions_stay_in_prime_field(p, n, eps, seed):
+    inst = generate(RandomSpec(seed=seed, p=p, n=n, eps=eps,
                                max_degree=6, moves=6))
 
     def over_budget(signum, frame):
@@ -294,10 +300,11 @@ def test_scrambled_regressions_stay_in_prime_field(seed, n):
     previous = signal.signal(signal.SIGALRM, over_budget)
     signal.alarm(5)
     try:
-        _, cb = canonicalize(inst.A, HERMITIAN)
+        cert, cb = canonicalize(inst.A, eps)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    cert.check(inst.A)
     assert inst.tower.num_levels() == 0
     assert cb == inst.blocks
 
@@ -319,17 +326,23 @@ def _dense_form(p, n, eps, seed):
     return T, PolyMatrix(T, E)
 
 
-@pytest.mark.parametrize("p, seed, levels, last", [
+@pytest.mark.parametrize("p, n, seed, levels, last", [
     # F_{3^24}: the packed multiplication rows save the most here
-    (3, 23, ["u1: u1^4+u1^2+2 = 0", "u2: u2^2+u1^3+2*u1 = 0",
-             "u3: u3^3+(2*u1^2+1)*u3^2+2*u1^2+1 = 0"], "t^6+t^4-t^2+1"),
-    # F_{5^12}
-    (5, 20, ["u1: u1^2+2 = 0", "u2: u2^6+4*u2^4+u2^2+u1+4 = 0"], "t^4+t^2+1"),
+    pytest.param(3, 3, 23, ["u1: u1^4+u1^2+2 = 0", "u2: u2^2+u1^3+2*u1 = 0",
+                            "u3: u3^3+(2*u1^2+1)*u3^2+2*u1^2+1 = 0"],
+                 "t^6+t^4-t^2+1", id="3-23-levels0-t^6+t^4-t^2+1"),
+    # F_{5^2}; F_{5^12} before compress_form reached deg det
+    pytest.param(5, 3, 20, ["u1: u1^2+3 = 0"], "t^4+t^2+1",
+                 id="5-20-levels1-t^4+t^2+1"),
+    # F_{3^8}; never finished before compress_form reached deg det
+    (3, 5, 3, ["u1: u1^2+1 = 0", "u2: u2^4+(2*u1+2)*u2^2+u1+1 = 0"],
+     "t^10-t^8-t^6+t^4"),
 ])
-def test_dense_regressions_in_deep_towers(p, seed, levels, last):
-    """The two slowest operations of the dense workload (n = 3, hermitian)
-    finish under a 5 s budget with the same tower and blocks."""
-    T, A = _dense_form(p, 3, HERMITIAN, seed)
+def test_dense_regressions_in_deep_towers(p, n, seed, levels, last):
+    """Slow hermitian operations of the dense workload's generator finish
+    under a 5 s budget with the recorded tower and blocks: its two slowest
+    (n = 3), and member 3 of (3, 5, +1)."""
+    T, A = _dense_form(p, n, HERMITIAN, seed)
 
     def over_budget(signum, frame):
         raise TimeoutError("canonicalize ran past its 5 s budget")

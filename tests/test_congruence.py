@@ -12,9 +12,11 @@ from starform.starpoly import StarPoly, gcd, is_pure, parse_poly
 from starform.polymat import (HERMITIAN, SKEW, PolyMatrix, determinant,
                               form_kind, form_value, gcd_of_matrix,
                               invariant_factors, smith_form)
-from starform.congruence import (block_swap, her2_diagonalize,
-                                 isotropic_vector, represent_one,
-                                 sk2_zero_diagonal, sk_split, split_one)
+from starform.congruence import (block_swap, compress_form,
+                                 her2_diagonalize, isotropic_vector,
+                                 represent_one, sk2_zero_diagonal, sk_split,
+                                 split_one)
+from starform.randgen import RandomSpec, generate
 
 
 def M(rows, T):
@@ -43,6 +45,35 @@ def rand_eps_form(T, rng, n, eps, maxdeg):
             E[i][j] = a
             E[j][i] = a.star() if eps == 1 else -a.star()
     return PolyMatrix(T, E)
+
+
+# ---------------- degree reduction ----------------
+
+def _nonsingular_forms():
+    T = Tower(5)
+    # shifts of mixed sign: the leading matrix is nonsingular at once
+    yield M([["0", "1"], ["1", "t^10"]], T)
+    yield M([["0", "1"], ["-1", "t^9"]], T)
+    for seed in range(20):
+        for n in range(2, 6):
+            for eps in (HERMITIAN, SKEW):
+                inst = generate(RandomSpec(seed=seed, p=5, n=n, eps=eps,
+                                           max_degree=6, moves=25))
+                if not determinant(inst.A).is_zero():
+                    yield inst.A
+
+
+def test_compress_form_reaches_the_determinant_degree():
+    """Every entry of the reduced form has degree at most deg det, the
+    bound that the canonical block sum meets."""
+    count = 0
+    for A in _nonsingular_forms():
+        cert = compress_form(A)
+        cert.check(A)
+        d = determinant(cert.B).degree()
+        assert all(e.degree() <= d for row in cert.B.entries for e in row), (A, cert.B)
+        count += 1
+    assert count >= 50
 
 
 # ---------------- isotropic vectors ----------------
