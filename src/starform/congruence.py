@@ -134,9 +134,8 @@ def compress_form(A: PolyMatrix) -> Certificate:
     lower()
     moves = 0
     while True:
-        L = PolyMatrix(T, [[StarPoly.const(T, lead(i, j)) for j in range(n)]
-                           for i in range(n)])
-        if not determinant(L).is_zero():
+        c = _null_vector([[lead(i, j) for j in range(n)] for i in range(n)])
+        if c is None:
             break
         if not moves:
             # deg det H = deg det A + n o, found only when a move is due
@@ -145,8 +144,6 @@ def compress_form(A: PolyMatrix) -> Certificate:
             budget = sum(s) - (dd + n * o) // 2
         moves += 1
         _require(moves <= budget, "compress_form overran its move bound")
-        sf = smith_form(L)
-        c = [e.constant_value() for e in sf.V.column(sum(1 for f in sf.factors if f))]
         support = [i for i in range(n) if c[i]]
         j = max(support, key=lambda i: (s[i], -i))
         for i in support:
@@ -162,6 +159,28 @@ def compress_form(A: PolyMatrix) -> Certificate:
             clear(i, q)
             clear(q, i)
     return red.certificate()
+
+
+def _null_vector(L):
+    """A nonzero c with L c = 0 for a square matrix of field elements, or
+    None when L is nonsingular.  Gauss-Jordan elimination stops at the first
+    column k without a pivot; columns 0..k-1 are then unit columns, so
+    c = (-L'_0k, ..., -L'_(k-1)k, 1, 0, ..., 0) in the reduced L'."""
+    M = [list(row) for row in L]
+    n = len(M)
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            T = M[0][0].tower
+            return [-M[i][k] for i in range(k)] + [T.one] + [T.zero] * (n - k - 1)
+        M[k], M[p] = M[p], M[k]
+        inv = 1 / M[k][k]
+        M[k] = [x * inv for x in M[k]]
+        for i in range(n):
+            if i != k and M[i][k]:
+                f = M[i][k]
+                M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -962,16 +981,17 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
     if f2.parity() != EVEN or f2.eval(T.zero).is_zero():
         raise ReductionError("second invariant factor is not an admissible norm")
     nu = f2.degree() // 2
-    red = Reduction(A)
     comp = compress_form(A)
-    red.S, red.B = comp.S, comp.B
     if n == 2:
-        red.apply(sk2_zero_diagonal(red.B).S)
-        f = red.B.entries[0][1]
+        cert = sk2_zero_diagonal(comp.B)
+        f = cert.B.entries[0][1]
         _require(is_pure(f) and f.degree() == nu,
                  "skew split f is not pure of degree nu")
-        return SkewSplitResult(red.certificate(), f, nu, PolyMatrix.zeros(T, 0, 0))
+        return SkewSplitResult(Certificate(comp.S @ cert.S, cert.B), f, nu,
+                               PolyMatrix.zeros(T, 0, 0))
     f_target = canonical_pure_factor(f2)
+    red = Reduction(A)
+    red.S, red.B = comp.S, comp.B
     _PivotSearch(red, nu, f_target).run()
     _dx_descent(red)
     g = red.B.entries[0][1]
