@@ -88,8 +88,8 @@ def compress_form(A: PolyMatrix) -> Certificate:
     if n < 2:
         return red.certificate()
     # h_ij = t^o a_ij; a nonzero entry and its mirror tell the kind
-    r, c = next((r, c) for r in range(n) for c in range(r, n) if A.entries[r][c])
-    o = int(A.entries[c][r] != A.entries[r][c].star())
+    i0, j0 = next((i, j) for i in range(n) for j in range(i, n) if A.entries[i][j])
+    o = int(A.entries[j0][i0] != A.entries[i0][j0].star())
     s = [max(e.degree() + o for e in row) for row in A.entries]
 
     def lead(i: int, j: int):
@@ -415,9 +415,10 @@ def _smith_frame_vectors(A: PolyMatrix, scale0: StarPoly, mu_count: int = 4):
 
 def _cheap_unit_vector(A: PolyMatrix) -> Optional[List[StarPoly]]:
     """Degree-zero probes for a vector representing 1: a constant unit on
-    the diagonal, possibly after a constant two-coordinate mix.  A probe
-    whose constant is a square in the current field wins, so the square
-    root grows the tower only when no probe has one."""
+    the diagonal, possibly after a constant two-coordinate mix by one of
+    the first _SCAN_CAP scalars.  A probe whose constant is a square in the
+    current field wins, so the square root grows the tower only when no
+    probe has one."""
     T = A.tower
     n = A.rows
     E = A.entries
@@ -432,7 +433,7 @@ def _cheap_unit_vector(A: PolyMatrix) -> Optional[List[StarPoly]]:
                     a, b, c = E[i][i], E[i][j] + E[j][i], E[j][j]
                     # the top coefficient must vanish first
                     k = max(a.degree(), b.degree(), c.degree())
-                    for m in range(1, T.p):
+                    for m in range(1, min(T.p, _SCAN_CAP)):
                         if k > 0 and a.coeff(k) + m * b.coeff(k) + m * m * c.coeff(k):
                             continue
                         lam = StarPoly.const(T, m)
