@@ -6,19 +6,24 @@ decision procedure.
 Canonical blocks are 1x1 matrices (f) with f* = eps f and 2x2 matrices
 [[0, q],[eps q*, 0]] with q = g p, p pure chosen canonically, so two
 congruent inputs canonicalize to byte-identical block lists.
+
+The canonicalizer (``_core``) splits the zero block off first, then one
+block at a time off a shrinking trailing window, composing S by one window
+product per block.  It checks nothing itself: ``canonicalize`` checks its
+result once, and ``are_congruent`` checks only the certificate it composes
+from two of them.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .starpoly import (EVEN, ODD, ZERO, StarPoly, canonical_pure_factor,
-                       is_pure)
-from .polymat import (HERMITIAN, SKEW, Certificate, CertificateError,
-                      PolyMatrix, determinant, form_kind, gcd_of_matrix,
-                      inverse, invariant_factors, kernel_split)
-from .congruence import (ReductionError, block_swap, compress_form,
-                         represent_one, sk_split, split_one)
+from .starpoly import EVEN, ODD, StarPoly, canonical_pure_factor
+from .polymat import (HERMITIAN, Certificate, CertificateError, PolyMatrix,
+                      form_kind, gcd_of_matrix, inverse, invariant_factors,
+                      kernel_split, mul_window)
+from .congruence import (block_swap, compress_form, represent_one, sk_split,
+                         split_one)
 from .tower import Tower
 
 
@@ -232,63 +237,67 @@ def assemble_canonical(fs: FactorSequence) -> Tuple[CanonicalBlocks, PolyMatrix]
 # ---------------------------------------------------------------------------
 
 def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, List]:
-    """(S, blocks) for nonsingular A with A* = eps A: S* A S is the ordered
-    direct sum of the canonical blocks."""
+    """(S, blocks) for A with A* = eps A, unchecked: S* A S is the ordered
+    direct sum of the canonical blocks, zero blocks last.
+
+    One loop over a trailing window W of S* A S, which starts after the zero
+    block of ``kernel_split``.  Each step reduces W, splits one block off
+    W / gcd(W), multiplies the window columns of S by the step's transform,
+    and leaves the rest of the window, times the gcd, as the next W."""
     T = A.tower
     n = A.rows
-    if n == 0:
-        return PolyMatrix.identity(T, 0), []
-    comp = compress_form(A)
-    A = comp.B
-    d, par = gcd_of_matrix(A)
-    A2 = A.exact_div(d)
-    eps2 = eps if par == EVEN else -eps
-    if n == 1:
-        c = A2.entries[0][0].constant_value()
-        s = StarPoly.const(T, T.inv(T.sqrt(c)))
-        return comp.S @ PolyMatrix(T, [[s]]), [Block1(d)]
-    if eps2 == HERMITIAN:
-        cert = split_one(A2, represent_one(A2))
-        head, k, block = PolyMatrix.identity(T, 1), 1, Block1(d)
+    k = n - sum(1 for f in invariant_factors(A) if not f.is_zero())
+    if k:
+        # ks.S* A ks.S = 0_k (+) W
+        ks = kernel_split(A)
+        S, W = ks.S, ks.B.submatrix(range(k, n), range(k, n))
     else:
-        res = sk_split(A2)
-        p = canonical_pure_factor((res.f * res.f.star()).monic())
-        cert = res.cert
-        head, k, block = block_swap(res.f, p).S, 2, Block2(d, p, eps)
-    # cert certifies A2 = A / d, so S* A S = d B
-    S_sub, blocks_sub = _core(cert.B.submatrix(range(k, n), range(k, n)).scale(d), eps)
-    S = comp.S @ cert.S @ PolyMatrix.block_diag(T, [head, S_sub])
-    return S, [block] + blocks_sub
+        S, W = PolyMatrix.identity(T, n), A
+    blocks: List = []
+    off = k
+    while off < n:
+        comp = compress_form(W)
+        d, par = gcd_of_matrix(comp.B)
+        W2 = comp.B.exact_div(d)
+        if off == n - 1:
+            c = W2.entries[0][0].constant_value()
+            step = PolyMatrix(T, [[StarPoly.const(T, T.inv(T.sqrt(c)))]])
+            size, block = 1, Block1(d)
+        elif (eps if par == EVEN else -eps) == HERMITIAN:
+            cert = split_one(W2, represent_one(W2))
+            step, size, block = cert.S, 1, Block1(d)
+        else:
+            res = sk_split(W2)
+            p = canonical_pure_factor((res.f * res.f.star()).monic())
+            cert = res.cert
+            step = PolyMatrix(T, mul_window(cert.S, block_swap(res.f, p).S, 0))
+            size, block = 2, Block2(d, p, eps)
+        S = PolyMatrix(T, mul_window(S, comp.S @ step, off))
+        blocks.append(block)
+        off += size
+        if off < n:
+            # cert certifies W2 = W / d, so the rest of W is d times its rest
+            rest = range(size, cert.B.rows)
+            W = cert.B.submatrix(rest, rest).scale(d)
+    if k:
+        # the zero columns move to the end
+        perm = list(range(k, n)) + list(range(k))
+        S = PolyMatrix(T, [[row[j] for j in perm] for row in S.entries])
+        blocks += [Block1(StarPoly.zero(T))] * k
+    return S, blocks
 
 
 def canonicalize(A: PolyMatrix, eps: int) -> Tuple[Certificate, CanonicalBlocks]:
     """Verified congruence S* A S = B with B the canonical direct sum of 1x1
     blocks and zero-diagonal 2x2 blocks (zero blocks last)."""
-    T = A.tower
-    n = A.rows
     kind = form_kind(A)
     if kind is None or (not A.is_zero() and kind != eps):
         raise ValueError("matrix is not an eps-form of the stated kind")
-    rank = sum(1 for f in invariant_factors(A) if not f.is_zero())
-    if rank == n:
-        S, blocks = _core(A, eps)
-    else:
-        # ks.S* A ks.S = 0_k (+) core; the zero columns move to the end
-        ks = kernel_split(A)
-        k = 0
-        while k < n and all(ks.B.entries[k][j].is_zero() for j in range(n)):
-            k += 1
-        if n - k != rank:
-            raise AssertionError("kernel split rank mismatch")
-        S_core, blocks = _core(ks.B.submatrix(range(k, n), range(k, n)), eps)
-        S = ks.S @ PolyMatrix.block_diag(T, [PolyMatrix.identity(T, k), S_core])
-        perm = list(range(k, n)) + list(range(k))
-        S = PolyMatrix(T, [[row[j] for j in perm] for row in S.entries])
-        blocks = blocks + [Block1(StarPoly.zero(T))] * k
+    S, blocks = _core(A, eps)
     cb = CanonicalBlocks(eps, blocks)
     B = cb.matrix()
     if B is None:
-        B = PolyMatrix.zeros(T, 0, 0)
+        B = PolyMatrix.zeros(A.tower, 0, 0)
     cert = Certificate(S, B)
     cert.check(A)
     return cert, cb
@@ -298,7 +307,9 @@ def are_congruent(A: PolyMatrix, A2: PolyMatrix, eps: int,
                   want_certificate: bool = False
                   ) -> Tuple[bool, Optional[Certificate]]:
     """Congruence decision via invariant factors; optionally a verified
-    certificate composed through the shared canonical form."""
+    certificate composed through the shared canonical form: with
+    S1* A S1 = C = S2* A2 S2, S = S1 S2^-1 gives S* A S = A2, and only that
+    composed certificate is checked."""
     if A.rows != A2.rows or A.cols != A2.cols:
         raise ValueError("size mismatch")
     for M in (A, A2):
@@ -308,11 +319,10 @@ def are_congruent(A: PolyMatrix, A2: PolyMatrix, eps: int,
     same = invariant_factors(A) == invariant_factors(A2)
     if not same or not want_certificate:
         return same, None
-    cert1, cb1 = canonicalize(A, eps)
-    cert2, cb2 = canonicalize(A2, eps)
-    if cb1 != cb2:
+    S1, blocks1 = _core(A, eps)
+    S2, blocks2 = _core(A2, eps)
+    if blocks1 != blocks2:
         raise CertificateError("canonical forms of equivalent matrices differ")
-    S = cert1.S @ inverse(cert2.S)
-    cert = Certificate(S, A2)
+    cert = Certificate(S1 @ inverse(S2), A2)
     cert.check(A)
     return True, cert

@@ -206,20 +206,15 @@ def isotropic_vector(A: PolyMatrix, kind: int) -> List[StarPoly]:
     best = None
     for i in range(n):
         for j in range(i + 1, n):
+            # constants lam with v = e_i + lam e_j isotropic need no factoring
+            for value, v in _constant_mixes(A, i, j):
+                if value.is_zero():
+                    return v
             alpha = A.entries[i][i]
             beta = A.entries[i][j]
             gamma = A.entries[j][j]
             bb = beta * beta.star()
             y = bb - alpha * gamma if kind == HERMITIAN else alpha * gamma + bb
-            # constants lam with v = e_i + lam e_j isotropic need no factoring
-            for m in range(T.p):
-                lam = StarPoly.const(T, m)
-                probe = alpha + lam * (beta + (beta.star() if kind == HERMITIAN
-                                               else -beta.star())) + lam * lam * gamma
-                if probe.is_zero():
-                    v = _basis_vector(T, n, i)
-                    v[j] = lam
-                    return v
             if best is None or y.degree() < best[0]:
                 best = (y.degree(), i, j, alpha, beta, y)
     _, i, j, alpha, beta, y = best
@@ -413,33 +408,39 @@ def _smith_frame_vectors(A: PolyMatrix, scale0: StarPoly, mu_count: int = 4):
                     yield emit(c)
 
 
+def _constant_mixes(A: PolyMatrix, i: int, j: int):
+    """(v* A v, v) for v = e_i + m e_j, m = 1, 2, ... below p and _SCAN_CAP,
+    skipping each m at which the top coefficient of v* A v does not vanish
+    (there v* A v has positive degree, so it is neither 0 nor a constant)."""
+    T = A.tower
+    E = A.entries
+    a, b, c = E[i][i], E[i][j] + E[j][i], E[j][j]
+    k = max(a.degree(), b.degree(), c.degree())
+    for m in range(1, min(T.p, _SCAN_CAP)):
+        if k > 0 and a.coeff(k) + m * b.coeff(k) + m * m * c.coeff(k):
+            continue
+        lam = StarPoly.const(T, m)
+        v = _basis_vector(T, A.rows, i)
+        v[j] = lam
+        yield a + lam * b + lam * lam * c, v
+
+
 def _cheap_unit_vector(A: PolyMatrix) -> Optional[List[StarPoly]]:
     """Degree-zero probes for a vector representing 1: a constant unit on
-    the diagonal, possibly after a constant two-coordinate mix by one of
-    the first _SCAN_CAP scalars.  A probe whose constant is a square in the
-    current field wins, so the square root grows the tower only when no
-    probe has one."""
+    the diagonal, possibly after a constant two-coordinate mix.  A probe
+    whose constant is a square in the current field wins, so the square
+    root grows the tower only when no probe has one."""
     T = A.tower
     n = A.rows
-    E = A.entries
     half = (T.field_order(T.num_levels()) - 1) // 2
 
     def probes():
         for i in range(n):
-            yield E[i][i], _basis_vector(T, n, i)
+            yield A.entries[i][i], _basis_vector(T, n, i)
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    a, b, c = E[i][i], E[i][j] + E[j][i], E[j][j]
-                    # the top coefficient must vanish first
-                    k = max(a.degree(), b.degree(), c.degree())
-                    for m in range(1, min(T.p, _SCAN_CAP)):
-                        if k > 0 and a.coeff(k) + m * b.coeff(k) + m * m * c.coeff(k):
-                            continue
-                        lam = StarPoly.const(T, m)
-                        v = _basis_vector(T, n, i)
-                        v[j] = lam
-                        yield a + lam * b + lam * lam * c, v
+                    yield from _constant_mixes(A, i, j)
 
     found = None
     for value, v in probes():
@@ -908,58 +909,8 @@ def _dx_descent(red: Reduction) -> None:
 
     while True:
         d = current_d()
-        if d.degree() == 0:
-            return
-        progressed = False
-        for s in range(2, n):
-            for x in (one, t):
-                if lam_scan(s, x, d):
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if progressed:
-            continue
-        # neutral premoves: make some trailing diagonal entry escape d, then
-        # pull it into reach of the (1, s) scans
-        for r in range(2, n):
-            if progressed:
-                break
-            arr = red.B.entries[r][r]
-            if not (arr % d).is_zero():
-                for x in (one, t):
-                    if lam_scan(r, x, d):
-                        progressed = True
-                        break
-                continue
-            for s in range(2, n):
-                if s == r or progressed:
-                    continue
-                ars = red.B.entries[r][s]
-                ass = red.B.entries[s][s]
-                for x in (one, t):
-                    w = ars * x.star() - ars.star() * x
-                    v = ass * x * x.star()
-                    if (w % d).is_zero() and (v % d).is_zero():
-                        continue
-                    scan = iter(T.enumerate_scalars())
-                    found = None
-                    for _ in range(4 + 2):
-                        lam = next(scan)
-                        if lam.is_zero():
-                            continue
-                        lp = StarPoly.const(T, lam)
-                        cand = arr + lp * w + lp * lp * v
-                        if not (cand % d).is_zero():
-                            found = lp
-                            break
-                    if found is None:
-                        continue
-                    red.transvection(s, r, found * x)
-                    if lam_scan(r, one, d) or lam_scan(r, t, d):
-                        progressed = True
-                        break
-        if not progressed:
+        if d.degree() == 0 or not any(lam_scan(s, x, d)
+                                      for s in range(2, n) for x in (one, t)):
             return
 
 

@@ -298,26 +298,6 @@ def is_unimodular(S: PolyMatrix) -> bool:
     return d.degree() == 0 and not d.is_zero()
 
 
-def inverse(S: PolyMatrix) -> "PolyMatrix":
-    """Inverse of a unimodular matrix via the adjugate (det is a unit)."""
-    d = determinant(S)
-    if d.is_zero() or d.degree() > 0:
-        raise ValueError("matrix is not unimodular")
-    n = S.rows
-    T = S.tower
-    dinv = T.inv(d.constant_value())
-    out = [[StarPoly.zero(T)] * n for _ in range(n)]
-    idx = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            sub = S.submatrix([r for r in idx if r != j], [c for c in idx if c != i])
-            m = determinant(sub) if n > 1 else StarPoly.one(T)
-            if (i + j) % 2:
-                m = -m
-            out[i][j] = m * dinv
-    return PolyMatrix(T, out)
-
-
 # ---------------- Smith normal form ----------------
 
 class SmithForm:
@@ -446,6 +426,15 @@ def invariant_factors(A: PolyMatrix) -> Tuple[StarPoly, ...]:
     return tuple(poly(M[i][i]) for i in range(min(A.rows, A.cols)))
 
 
+def inverse(S: PolyMatrix) -> PolyMatrix:
+    """Inverse of a unimodular matrix from its Smith form: U S V = I, so
+    S^-1 = V U."""
+    sf = smith_form(S)
+    if not (S.is_square() and all(f.is_one() for f in sf.factors)):
+        raise ValueError("matrix is not unimodular")
+    return sf.V @ sf.U
+
+
 # ---------------- certificates and congruence moves ----------------
 
 class CertificateError(RuntimeError):
@@ -486,6 +475,21 @@ class Certificate:
         except CertificateError:
             return False
         return True
+
+
+def mul_window(M: PolyMatrix, S_small: PolyMatrix, offset: int) -> List[list]:
+    """The rows of M (I (+) S_small (+) I): M with its columns offset, ...,
+    offset + k - 1 multiplied by the k x k matrix S_small, and the other
+    columns kept."""
+    T = M.tower
+    dot = T.poly_dot
+    win = slice(offset, offset + S_small.rows)
+    cols = [[e.coeffs for e in col] for col in zip(*S_small.entries)]
+    out = [list(row) for row in M.entries]
+    for row in out:
+        old = [e.coeffs for e in row[win]]
+        row[win] = [StarPoly(T, dot(zip(old, col))) for col in cols]
+    return out
 
 
 class Reduction:
@@ -555,22 +559,13 @@ class Reduction:
         T = self.B.tower
         dot = T.poly_dot
         win = slice(offset, offset + S_small.rows)
-        cols = [[e.coeffs for e in col] for col in zip(*S_small.entries)]
-
-        def right(M):  # M with its window columns multiplied by S_small
-            out = [list(row) for row in M.entries]
-            for row in out:
-                old = [e.coeffs for e in row[win]]
-                row[win] = [StarPoly(T, dot(zip(old, col))) for col in cols]
-            return out
-
-        B = right(self.B)
+        B = mul_window(self.B, S_small, offset)
         # then its window rows by S_small*
         wcols = list(zip(*[[e.coeffs for e in row] for row in B[win]]))
         srows = [[e.coeffs for e in row] for row in S_small.star_transpose().entries]
         B[win] = [[StarPoly(T, dot(zip(r, c))) for c in wcols] for r in srows]
         self.B = PolyMatrix(T, B)
-        self.S = PolyMatrix(T, right(self.S))
+        self.S = PolyMatrix(T, mul_window(self.S, S_small, offset))
 
     def certificate(self) -> Certificate:
         return Certificate(self.S, self.B)

@@ -10,8 +10,8 @@ import pytest
 
 from starform.tower import Tower
 from starform.starpoly import StarPoly, is_pure, parse_poly
-from starform.polymat import (HERMITIAN, SKEW, PolyMatrix, determinant,
-                              form_kind, invariant_factors)
+from starform.polymat import (HERMITIAN, SKEW, PolyMatrix, Reduction,
+                              determinant, form_kind, invariant_factors)
 from starform.canonical import (Block1, Block2, CanonicalBlocks,
                                 FactorSequence, are_congruent,
                                 assemble_canonical, canonicalize,
@@ -233,6 +233,34 @@ def test_are_congruent_transform_invariance():
                                    want_certificate=True)
         assert same and cert is not None
         assert cert.verify(inst.A)
+
+
+def test_each_result_is_checked_once(monkeypatch):
+    """canonicalize checks its certificate once, and a certified
+    are_congruent checks only the one it composes, on nonsingular,
+    singular and skew inputs alike."""
+    from starform import polymat
+    calls = []
+    check = polymat.Certificate.check
+    monkeypatch.setattr(polymat.Certificate, "check",
+                        lambda self, A: calls.append(A) or check(self, A))
+    T = Tower(5)
+    forms = [(M([["t^2+1", "t"], ["-t", "2"]], T), HERMITIAN),
+             (M([["1", "t"], ["-t", "-t^2"]], T), HERMITIAN),
+             (M([["0", "t^2+1", "0"], ["-t^2-1", "0", "t"], ["0", "t", "t^3"]], T),
+              SKEW)]
+    for A, eps in forms:
+        del calls[:]
+        cert, _ = canonicalize(A, eps)
+        assert calls == [A]
+        red = Reduction(A)
+        red.transvection(0, 1, StarPoly.t(T) + StarPoly.one(T))
+        del calls[:]
+        same, cert = are_congruent(A, red.B, eps, want_certificate=True)
+        assert same and calls == [A]
+        del calls[:]
+        assert are_congruent(A, red.B, eps) == (True, None)
+        assert calls == []
 
 
 def test_are_congruent_factor_mismatch():

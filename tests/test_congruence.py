@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,27 @@ def test_isotropic_spec_vectors():
     # primitive output
     from starform.polymat import vector_gcd
     assert vector_gcd(v).is_one()
+
+
+def test_isotropic_constant_scan_is_capped_at_a_large_prime():
+    """Over p = 1000003 no constant mix of [[t^2, 1], [1, t^2]] is isotropic
+    (-1 is not a square), and the scan for one stops at _SCAN_CAP scalars:
+    scanning all p of them took about 17 s."""
+    T = Tower(1000003)
+    A = M([["t^2", "1"], ["1", "t^2"]], T)
+
+    def over_budget(signum, frame):
+        raise TimeoutError("isotropic_vector ran past its 5 s budget")
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.alarm(5)
+    try:
+        v = isotropic_vector(A, HERMITIAN)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert form_value(A, v, v).is_zero()
+    assert any(not e.is_zero() for e in v)
 
 
 def test_isotropic_1x1_error():

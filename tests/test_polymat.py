@@ -562,6 +562,18 @@ def test_inverse_roundtrip():
         S = red.S
         assert S @ inverse(S) == PolyMatrix.identity(T, n)
         assert inverse(S) @ S == PolyMatrix.identity(T, n)
+    # unimodular with u1 entries: det [[u, u^2 - 1], [1, u]] = 1, then a
+    # transvection by u t
+    u = StarPoly.const(T, T.sqrt(T.elem(2)))
+    one, zero = StarPoly.one(T), StarPoly.zero(T)
+    S = (PolyMatrix(T, [[u, u * u - one], [one, u]])
+         @ PolyMatrix(T, [[one, u * StarPoly.t(T)], [zero, one]]))
+    assert any(c.level for row in S.entries for e in row for c in e.coeffs)
+    assert S @ inverse(S) == PolyMatrix.identity(T, 2)
+    assert inverse(S) @ S == PolyMatrix.identity(T, 2)
+    # not unimodular: det = t
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse(M([["1", "t"], ["0", "t"]], T))
 
 
 def test_certificate_rejects_wrong_data():
