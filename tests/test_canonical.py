@@ -418,8 +418,8 @@ def corrupted(A, eps):
 
 canonical._core = corrupted
 T = Tower(5)
-# the final check is the only one: both a 1x1 input and a 2x2 input (whose
-# recursion corrupts its 1x1 remainder as well) must be rejected
+# the final check is the only one: both a 1x1 input and a 2x2 input must be
+# rejected
 for rows in ([["t^2+1"]], [["t^2+1", "t"], ["-t", "2"]]):
     A = PolyMatrix(T, [[parse_poly(e, T) for e in row] for row in rows])
     try:
