@@ -9,7 +9,9 @@ congruent inputs canonicalize to byte-identical block lists.
 
 The canonicalizer (``_core``) splits the zero block off first, then one
 block at a time off a shrinking trailing window, composing S by one window
-product per block.  It checks nothing itself: ``canonicalize`` checks its
+product per block.  One Smith form of A gives every window's gcd and, for a
+skew block, its f f*, so each window is reduced once and no builder checks
+its input again.  It checks nothing itself: ``canonicalize`` checks its
 result once, and ``are_congruent`` checks only the certificate it composes
 from two of them.
 """
@@ -20,9 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .starpoly import EVEN, ODD, StarPoly, canonical_pure_factor
 from .polymat import (HERMITIAN, Certificate, CertificateError, PolyMatrix,
-                      form_kind, gcd_of_matrix, inverse, invariant_factors,
-                      kernel_split, mul_window)
-from .congruence import (block_swap, compress_form, represent_one, sk_split,
+                      form_kind, inverse, invariant_factors, kernel_split,
+                      mul_window)
+from .congruence import (_sk_split, _unit_vector, block_swap, compress_form,
                          split_one)
 from .tower import Tower
 
@@ -241,12 +243,16 @@ def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, List]:
     direct sum of the canonical blocks, zero blocks last.
 
     One loop over a trailing window W of S* A S, which starts after the zero
-    block of ``kernel_split``.  Each step reduces W, splits one block off
-    W / gcd(W), multiplies the window columns of S by the step's transform,
-    and leaves the rest of the window, times the gcd, as the next W."""
+    block of ``kernel_split``.  (1) (+) M has invariant factors (1, inv M)
+    and N (+) D with f f* | D has (1, f f*, inv D), so W has the suffix
+    fs[i:] of the nonzero invariant factors of A: gcd fs[i], and a skew
+    block's f f* is fs[i+1] / fs[i].  Each step reduces W / fs[i] once,
+    splits one block off it, multiplies the window columns of S by the
+    step's transform, and leaves the rest, times fs[i], as the next W."""
     T = A.tower
     n = A.rows
-    k = n - sum(1 for f in invariant_factors(A) if not f.is_zero())
+    fs = [f for f in invariant_factors(A) if not f.is_zero()]
+    k = n - len(fs)
     if k:
         # ks.S* A ks.S = 0_k (+) W
         ks = kernel_split(A)
@@ -256,19 +262,14 @@ def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, List]:
     blocks: List = []
     off = k
     while off < n:
-        comp = compress_form(W)
-        d, par = gcd_of_matrix(comp.B)
-        W2 = comp.B.exact_div(d)
-        if off == n - 1:
-            c = W2.entries[0][0].constant_value()
-            step = PolyMatrix(T, [[StarPoly.const(T, T.inv(T.sqrt(c)))]])
-            size, block = 1, Block1(d)
-        elif (eps if par == EVEN else -eps) == HERMITIAN:
-            cert = split_one(W2, represent_one(W2))
+        d = fs[off - k]
+        comp = compress_form(W.exact_div(d))
+        if (eps if d.parity() == EVEN else -eps) == HERMITIAN:
+            cert = split_one(comp.B, _unit_vector(comp.B))
             step, size, block = cert.S, 1, Block1(d)
         else:
-            res = sk_split(W2)
-            p = canonical_pure_factor((res.f * res.f.star()).monic())
+            p = canonical_pure_factor(fs[off - k + 1].exact_div(d))
+            res = _sk_split(comp.B, p)
             cert = res.cert
             step = PolyMatrix(T, mul_window(cert.S, block_swap(res.f, p).S, 0))
             size, block = 2, Block2(d, p, eps)
@@ -276,7 +277,7 @@ def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, List]:
         blocks.append(block)
         off += size
         if off < n:
-            # cert certifies W2 = W / d, so the rest of W is d times its rest
+            # cert certifies comp.B = W / d, so the rest of W is d times its rest
             rest = range(size, cert.B.rows)
             W = cert.B.submatrix(rest, rest).scale(d)
     if k:
@@ -312,6 +313,8 @@ def are_congruent(A: PolyMatrix, A2: PolyMatrix, eps: int,
     composed certificate is checked."""
     if A.rows != A2.rows or A.cols != A2.cols:
         raise ValueError("size mismatch")
+    if A.tower is not A2.tower:
+        raise ValueError("the two forms are over different towers")
     for M in (A, A2):
         kind = form_kind(M)
         if kind is None or (not M.is_zero() and kind != eps):

@@ -7,7 +7,9 @@ Certificate (S unimodular, S* A S = B).  The entry points:
 - ``compress_form``: a nonsingular form -> a congruent one whose entries
   have degree at most deg det A, in at most sum s - deg det / 2
   leading-matrix moves for shifts s with deg a_ij <= s_i + s_j (on tA for
-  skew A).  ``represent_one`` and ``sk_split`` reduce their input first.
+  skew A).  ``represent_one`` and ``sk_split`` check and reduce their
+  input for the unchecked ``_unit_vector`` and ``_sk_split``, which the
+  canonicalizer calls directly on windows it has reduced once.
 - ``isotropic_vector``: a primitive nonzero v with v* A v = 0.
 - ``represent_one`` / ``split_one``: hermitian gcd-1 matrices represent 1
   and split off a (1) block.
@@ -348,16 +350,17 @@ def _frame_conjugators(A: PolyMatrix) -> List[PolyMatrix]:
     return out
 
 
-def _smith_frame_vectors(A: PolyMatrix, scale0: StarPoly, mu_count: int = 4):
+def _smith_frame_vectors(A: PolyMatrix, scale0: StarPoly):
     """For skew-hermitian A: isotropic vectors v with pairing ideal exactly
     (scale0), searched in Smith sublattice frames {V e0 * scale0, V e_j}.
 
-    Any c = e0 + z e_j + mu e_k maps to a vector whose image under A is
-    scale0 times a unimodular image of a primitive column, so only the
-    isotropy corrector equation is in question.  Yields candidates lazily."""
+    Any c = e0 + z e_j + mu e_k, mu = 1..4, maps to a vector whose image
+    under A is scale0 times a unimodular image of a primitive column, so only
+    the isotropy corrector equation is in question.  Yields candidates
+    lazily."""
     T = A.tower
     n = A.rows
-    mus = [StarPoly.const(T, m) for m in range(1, mu_count + 1)]
+    mus = [StarPoly.const(T, m) for m in range(1, 5)]
     for M in _frame_conjugators(A):
         A2 = (M.star_transpose() @ A) @ M
         V = _reduce_frame_columns(smith_form(A2).V)
@@ -490,9 +493,6 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
         core = cert.B.submatrix(range(k, n), range(k, n))
         v1 = represent_one(core)
         v = [StarPoly.zero(T)] * k + v1
-    elif n == 1:
-        c = A.entries[0][0].constant_value()
-        return [StarPoly.const(T, T.inv(T.sqrt(c)))]
     else:
         cert = compress_form(A)
         v = _unit_vector(cert.B)
@@ -503,8 +503,8 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
 
 
 def _unit_vector(A: PolyMatrix) -> List[StarPoly]:
-    """v with v* A v = 1 for reduced nonsingular hermitian A, n >= 2, with
-    gcd(A) = 1."""
+    """v with v* A v = 1 for reduced nonsingular hermitian A with
+    gcd(A) = 1, unchecked."""
     T = A.tower
     n = A.rows
     u = _cheap_unit_vector(A)
@@ -752,12 +752,11 @@ def block_swap(f: StarPoly, f_new: StarPoly) -> Certificate:
 # ---------------------------------------------------------------------------
 
 class SkewSplitResult:
-    __slots__ = ("cert", "f", "nu", "D")
+    __slots__ = ("cert", "f", "D")
 
-    def __init__(self, cert: Certificate, f: StarPoly, nu: int, D: PolyMatrix):
+    def __init__(self, cert: Certificate, f: StarPoly, D: PolyMatrix):
         self.cert = cert
         self.f = f
-        self.nu = nu
         self.D = D
 
 
@@ -768,13 +767,14 @@ def _pairing_degree(B: PolyMatrix, v: Sequence[StarPoly]) -> Tuple[int, StarPoly
 
 class _PivotSearch:
     """Finds an isotropic vector whose pairing ideal has the certified
-    minimal degree nu = deg(f2)/2, then normalizes the matrix so row 0 is
-    (0, g, 0, ..., 0) with deg g = nu."""
+    minimal degree nu = deg p = deg(f2)/2, p the canonical pure factor of
+    f2, then normalizes the matrix so row 0 is (0, g, 0, ..., 0) with
+    deg g = nu."""
 
-    def __init__(self, red: Reduction, nu: int, f_target: StarPoly):
+    def __init__(self, red: Reduction, p: StarPoly):
         self.red = red
-        self.nu = nu
-        self.f_target = f_target
+        self.nu = p.degree()
+        self.p = p
         self.T = red.B.tower
         self.n = red.B.rows
 
@@ -839,7 +839,7 @@ class _PivotSearch:
         factor of f2: its frame combinations have pairing exactly (f)
         whenever the isotropy corrector solves."""
         count = 0
-        for v in _smith_frame_vectors(self.red.B, self.f_target):
+        for v in _smith_frame_vectors(self.red.B, self.p):
             if self._improves(v, m):
                 self._commit(v)
                 return True
@@ -918,53 +918,49 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
     """Skew-hermitian A with gcd 1 and det != 0: verified congruence to
     [[0, f],[-f*, 0]] (+) D, f pure of degree deg(f2)/2, f f* | D entrywise."""
     T = A.tower
-    n = A.rows
     if form_kind(A) != SKEW:
         raise ValueError("sk_split needs a skew-hermitian matrix")
     d, _ = gcd_of_matrix(A)
     if not d.is_one():
         raise ValueError("sk_split needs gcd(A) = 1")
-    if determinant(A).is_zero():
-        raise ValueError("sk_split needs det(A) != 0")
-    if n < 2:
-        raise ValueError("sk_split needs n >= 2")
     factors = invariant_factors(A)
+    if factors[-1].is_zero():
+        raise ValueError("sk_split needs det(A) != 0")
+    if A.rows < 2:
+        raise ValueError("sk_split needs n >= 2")
     f2 = factors[1]
     if f2.parity() != EVEN or f2.eval(T.zero).is_zero():
         raise ReductionError("second invariant factor is not an admissible norm")
-    nu = f2.degree() // 2
     comp = compress_form(A)
-    if n == 2:
-        cert = sk2_zero_diagonal(comp.B)
-        f = cert.B.entries[0][1]
-        _require(is_pure(f) and f.degree() == nu,
-                 "skew split f is not pure of degree nu")
-        return SkewSplitResult(Certificate(comp.S @ cert.S, cert.B), f, nu,
-                               PolyMatrix.zeros(T, 0, 0))
-    f_target = canonical_pure_factor(f2)
+    res = _sk_split(comp.B, canonical_pure_factor(f2))
+    return SkewSplitResult(Certificate(comp.S @ res.cert.S, res.cert.B),
+                           res.f, res.D)
+
+
+def _sk_split(A: PolyMatrix, p: StarPoly) -> SkewSplitResult:
+    """sk_split of a reduced A, unchecked: p is the canonical pure factor of
+    the second invariant factor f2 of A, so f f* = p p* up to a unit."""
+    n = A.rows
     red = Reduction(A)
-    red.S, red.B = comp.S, comp.B
-    _PivotSearch(red, nu, f_target).run()
-    _dx_descent(red)
-    g = red.B.entries[0][1]
-    dX = gcd_many([g, g.star(), red.B.entries[1][1]])
-    if not dX.is_one():
-        raise ReductionError("d_X did not reach 1 at the minimal pairing degree")
-    corner = red.B.submatrix((0, 1), (0, 1))
-    c2 = sk2_zero_diagonal(corner)
-    red.embed(c2.S, 0)
+    if n > 2:
+        _PivotSearch(red, p).run()
+        _dx_descent(red)
+        g = red.B.entries[0][1]
+        if not gcd_many([g, g.star(), red.B.entries[1][1]]).is_one():
+            raise ReductionError("d_X did not reach 1 at the minimal pairing degree")
+    red.embed(sk2_zero_diagonal(red.B.submatrix((0, 1), (0, 1))).S, 0)
     f = red.B.entries[0][1]
-    _require(is_pure(f) and f.degree() == nu, "skew split f is not pure of degree nu")
-    # minimality of nu forces f | row 0 and f* | row 1 against the rest
-    for j in range(2, n):
-        e = red.B.entries[0][j]
-        if not e.is_zero():
-            red.transvection(1, j, -e.exact_div(f))
+    _require(is_pure(f) and f.degree() == p.degree(),
+             "skew split f is not pure of degree deg p")
+    # minimality of deg p forces f | row 0 and f* | row 1 against the rest;
+    # the zero diagonal keeps each move off the other row
     fs = f.star()
     for j in range(2, n):
-        e = red.B.entries[1][j]
-        if not e.is_zero():
-            red.transvection(0, j, e.exact_div(fs))
+        e0, e1 = red.B.entries[0][j], red.B.entries[1][j]
+        if not e0.is_zero():
+            red.transvection(1, j, -e0.exact_div(f))
+        if not e1.is_zero():
+            red.transvection(0, j, e1.exact_div(fs))
     B = red.B
     for j in range(2, n):
         _require(B.entries[0][j].is_zero() and B.entries[1][j].is_zero()
@@ -976,6 +972,6 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
         for e in row:
             if not (e % ffs).is_zero():
                 raise ReductionError("f f* fails to divide the complement")
-    q, rem = divmod(f2, ffs)
+    q, rem = divmod(p * p.star(), ffs)
     _require(rem.is_zero() and q.degree() == 0, "f f* is not f2 up to a unit")
-    return SkewSplitResult(red.certificate(), f, nu, D)
+    return SkewSplitResult(red.certificate(), f, D)

@@ -263,6 +263,28 @@ def test_each_result_is_checked_once(monkeypatch):
         assert calls == []
 
 
+def test_each_window_is_reduced_once(monkeypatch):
+    """canonicalize reads every window's gcd and second invariant factor
+    off one Smith form of A, and reduces each window once: a nonsingular
+    skew 4x4 with two 2x2 blocks takes one invariant_factors and two
+    compress_form calls."""
+    from starform import canonical, congruence, polymat
+    A = generate(RandomSpec(seed=6, p=5, n=4, eps=SKEW, max_degree=6, moves=6)).A
+    calls = {"invariant_factors": 0, "compress_form": 0}
+    for name in calls:
+        orig = getattr(congruence, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        for mod in (canonical, congruence, polymat):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    _, cb = canonicalize(A, SKEW)
+    assert [type(b) for b in cb.blocks] == [Block2, Block2]
+    assert calls == {"invariant_factors": 1, "compress_form": 2}
+
+
 def test_are_congruent_factor_mismatch():
     T = Tower(5)
     A = M([["1", "0"], ["0", "t^2-1"]], T)
@@ -279,6 +301,14 @@ def test_are_congruent_kind_checked():
         are_congruent(A, tA, HERMITIAN)
     with pytest.raises(ValueError):
         are_congruent(A, M([["1"]], T), HERMITIAN)
+
+
+def test_are_congruent_needs_one_tower():
+    # forms over two towers would meet in the kernel once either grows
+    A = M([["1", "t"], ["-t", "1"]], Tower(5))
+    A2 = M([["1", "t"], ["-t", "1"]], Tower(5))
+    with pytest.raises(ValueError, match="different towers"):
+        are_congruent(A, A2, HERMITIAN)
 
 
 def test_congruence_is_equivalence_on_corpus():

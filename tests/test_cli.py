@@ -187,13 +187,21 @@ def test_random_command_deterministic(tmp_path):
     assert eps == -1
 
 
+def _block_lines(text):
+    return [line for line in text.splitlines() if not line.startswith("generator ")]
+
+
 def test_random_instances_parse_and_canonicalize(tmp_path):
-    d = tmp_path / "r"
-    d.mkdir()
-    run_cli(["random", "--seed", "3", "--p", "3", "--n", "2",
-             "--epsilon", "+1", "--count", "1", "--out", str(d)])
-    code, out, _ = run_cli(["canonical", str(d / "inst_0000.prob")])
-    assert code == 0
+    # the canonical text of a scrambled instance is its generated ground truth
+    for k, spec in enumerate((["--seed", "3", "--p", "3", "--n", "2", "--epsilon", "+1"],
+                              ["--seed", "3", "--p", "5", "--n", "4", "--epsilon", "-1"])):
+        d = tmp_path / f"r{k}"
+        d.mkdir()
+        code, _, _ = run_cli(["random", *spec, "--count", "1", "--out", str(d)])
+        assert code == 0
+        code, out, _ = run_cli(["canonical", str(d / "inst_0000.prob")])
+        assert code == 0
+        assert _block_lines(out) == _block_lines((d / "inst_0000.canon").read_text())
 
 
 def test_input_error_exit_code(tmp_path):
