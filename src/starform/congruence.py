@@ -615,7 +615,6 @@ def her2_diagonalize(A: PolyMatrix) -> Certificate:
 def sk2_zero_diagonal(A: PolyMatrix) -> Certificate:
     """2x2 skew-hermitian, gcd 1, det != 0: congruence to
     [[0, r],[-r*, 0]] with r = a1 c^2 pure."""
-    T = A.tower
     if A.rows != 2 or form_kind(A) != SKEW:
         raise ValueError("sk2_zero_diagonal needs a 2x2 skew-hermitian matrix")
     d, _ = gcd_of_matrix(A)
@@ -623,6 +622,12 @@ def sk2_zero_diagonal(A: PolyMatrix) -> Certificate:
         raise ValueError("sk2_zero_diagonal needs gcd(A) = 1")
     if determinant(A).is_zero():
         raise ValueError("sk2_zero_diagonal needs det(A) != 0")
+    return _sk2_zero_diagonal(A)
+
+
+def _sk2_zero_diagonal(A: PolyMatrix) -> Certificate:
+    """sk2_zero_diagonal, unchecked."""
+    T = A.tower
     red = Reduction(A)
     _isotropic_to_corner(red, SKEW)
     a = red.B.entries[0][1]
@@ -760,11 +765,6 @@ class SkewSplitResult:
         self.D = D
 
 
-def _pairing_degree(B: PolyMatrix, v: Sequence[StarPoly]) -> Tuple[int, StarPoly]:
-    g = vector_gcd(apply_matrix(B, list(v)))
-    return g.degree(), g
-
-
 class _PivotSearch:
     """Finds an isotropic vector whose pairing ideal has the certified
     minimal degree nu = deg p = deg(f2)/2, p the canonical pure factor of
@@ -814,8 +814,7 @@ class _PivotSearch:
             return False
         if not form_value(self.red.B, v, v).is_zero():
             return False
-        deg, _ = _pairing_degree(self.red.B, v)
-        return deg < m
+        return vector_gcd(apply_matrix(self.red.B, list(v))).degree() < m
 
     # -- move generators --
 
@@ -948,7 +947,7 @@ def _sk_split(A: PolyMatrix, p: StarPoly) -> SkewSplitResult:
         g = red.B.entries[0][1]
         if not gcd_many([g, g.star(), red.B.entries[1][1]]).is_one():
             raise ReductionError("d_X did not reach 1 at the minimal pairing degree")
-    red.embed(sk2_zero_diagonal(red.B.submatrix((0, 1), (0, 1))).S, 0)
+    red.embed(_sk2_zero_diagonal(red.B.submatrix((0, 1), (0, 1))).S, 0)
     f = red.B.entries[0][1]
     _require(is_pure(f) and f.degree() == p.degree(),
              "skew split f is not pure of degree deg p")

@@ -266,11 +266,11 @@ def test_each_result_is_checked_once(monkeypatch):
 def test_each_window_is_reduced_once(monkeypatch):
     """canonicalize reads every window's gcd and second invariant factor
     off one Smith form of A, and reduces each window once: a nonsingular
-    skew 4x4 with two 2x2 blocks takes one invariant_factors and two
-    compress_form calls."""
+    skew 4x4 with two 2x2 blocks takes one invariant_factors, two
+    compress_form and no gcd_of_matrix calls."""
     from starform import canonical, congruence, polymat
     A = generate(RandomSpec(seed=6, p=5, n=4, eps=SKEW, max_degree=6, moves=6)).A
-    calls = {"invariant_factors": 0, "compress_form": 0}
+    calls = {"invariant_factors": 0, "compress_form": 0, "gcd_of_matrix": 0}
     for name in calls:
         orig = getattr(congruence, name)
 
@@ -282,7 +282,7 @@ def test_each_window_is_reduced_once(monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
     _, cb = canonicalize(A, SKEW)
     assert [type(b) for b in cb.blocks] == [Block2, Block2]
-    assert calls == {"invariant_factors": 1, "compress_form": 2}
+    assert calls == {"invariant_factors": 1, "compress_form": 2, "gcd_of_matrix": 0}
 
 
 def test_are_congruent_factor_mismatch():
