@@ -106,7 +106,12 @@ class CanonicalBlocks:
         lines = [f"p = {tower.p}",
                  f"epsilon = {'+1' if self.eps == HERMITIAN else '-1'}",
                  f"n = {sum(2 if isinstance(b, Block2) else 1 for b in self.blocks)}"]
-        for line in tower.describe_levels():
+        # only the generators that the blocks use: a level above them shows
+        # how the reduction ran, not the congruence class
+        used = max((c.level for b in self.blocks
+                    for f in ((b.g, b.p) if isinstance(b, Block2) else (b.f,))
+                    for c in f.coeffs), default=0)
+        for line in tower.describe_levels()[:used]:
             lines.append(f"generator {line}")
         for b in self.blocks:
             if isinstance(b, Block2):

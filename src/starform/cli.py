@@ -8,6 +8,10 @@ Problem file format (line oriented, diffable):
     n = 2
     A = [ [ 0, t ], [ t, t^3 ] ]
 
+Entries may use the generators u1, u2, ... of the tower, each defined by a
+comment line ``# generator uK: <minimal polynomial in uK> = 0``, as
+certificates carry them.
+
 Exit codes: 0 success, 1 a certificate failed its check (in `verify` or in
 the library) or a `selftest` check failed, 2 input error.
 """
@@ -15,6 +19,8 @@ the library) or a `selftest` check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -46,19 +52,52 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+# a tower level as format_problem writes it, from Tower.describe_levels
+_GENERATOR = re.compile(r"#\s*generator\s+u(\d+)\s*:\s*(.*?)\s*=\s*0$")
+
+
+def _read_generator(tower: Tower, k: int, text: str) -> None:
+    """Grow level k of ``tower`` from its minimal polynomial, written in uK
+    over the lower generators, or check it against the level k the tower
+    already has."""
+    if "t" in text:
+        raise InputError(f"generator u{k}: write its minimal polynomial in u{k}")
+    try:
+        mp = list(parse_poly(re.sub(rf"u{k}(?!\d)", "t", text), tower).coeffs)
+        if k <= tower.num_levels():
+            if tuple(mp) != tower.levels[k - 1].minpoly:
+                raise InputError(f"generator u{k} does not match level {k} of the tower")
+            return
+        # monic irreducible over the level of its coefficients, of degree
+        # prime to that level's degree under level k - 1
+        base = max((c.level for c in mp), default=0)
+        below = tower.coord_size(k - 1) // tower.coord_size(base)
+        if tower.factor_monic(mp) != [(mp, 1)] or math.gcd(len(mp) - 1, below) != 1:
+            raise InputError(f"generator u{k}: minimal polynomial is not monic "
+                             f"and irreducible over level {k - 1}")
+        tower.grow(mp)
+    except ValueError as exc:
+        raise InputError(f"generator u{k}: {exc}") from exc
+
+
 def parse_problem(text: str, tower: Optional[Tower] = None
                   ) -> Tuple[Tower, Optional[int], PolyMatrix, dict]:
     """Parse a problem file; returns (tower, epsilon or None, matrix, extras).
 
     Any additional matrix sections (S = ..., B = ...) land in extras.  The
     entries are parsed into `tower` when one is given, and the file's p must
-    be its prime; otherwise into a new Tower(p).
+    be its prime; otherwise into a new Tower(p).  Generator lines grow the
+    levels the tower lacks and must match the levels it has.
     """
     fields = {}
     matrices = {}
+    generators = []
     lines = text.splitlines()
     i = 0
     while i < len(lines):
+        found = _GENERATOR.match(lines[i].strip())
+        if found:
+            generators.append((int(found[1]), found[2]))
         line = _strip_comment(lines[i])
         i += 1
         if not line:
@@ -94,6 +133,10 @@ def parse_problem(text: str, tower: Optional[Tower] = None
         tower = Tower(fields["p"])
     elif fields["p"] != tower.p:
         raise InputError(f"p = {fields['p']} does not match p = {tower.p}")
+    for k, (level, minpoly) in enumerate(generators, start=1):
+        if level != k:
+            raise InputError(f"generator u{level} is out of order: expected u{k}")
+        _read_generator(tower, k, minpoly)
     parsed = {name: _parse_matrix(raw, tower) for name, raw in matrices.items()}
     A = parsed["A"]
     if "n" in fields and A.rows != fields["n"]:

@@ -24,7 +24,7 @@ Certificate (S unimodular, S* A S = B).  The entry points:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .starpoly import (EVEN, StarPoly, canonical_pure_factor,
                        coprime_even_bezout, even_bezout, gcd as poly_gcd,
@@ -35,7 +35,7 @@ from .polymat import (HERMITIAN, SKEW, Certificate, PolyMatrix, Reduction,
                       gcd_of_matrix, invariant_factors, kernel_split,
                       reduce_columns, smith_form, unimodular_completion,
                       vector_gcd)
-from .tower import Tower
+from .tower import FieldElem, Tower
 
 _SCAN_CAP = 4096
 _SEARCH_ROUNDS = 64
@@ -50,6 +50,15 @@ def _require(ok: bool, what: str) -> None:
     ``ok``.  Unlike ``assert`` it also runs under ``python -O``."""
     if not ok:
         raise ReductionError(what)
+
+
+def _scan(tower: Tower, what: str) -> Iterator[FieldElem]:
+    """The scalars of ``tower.enumerate_scalars()``, at most _SCAN_CAP of
+    them: asking for one more raises ReductionError(what)."""
+    for count, lam in enumerate(tower.enumerate_scalars()):
+        if count == _SCAN_CAP:
+            raise ReductionError(what)
+        yield lam
 
 
 def _basis_vector(tower: Tower, n: int, i: int, value: Optional[StarPoly] = None):
@@ -477,13 +486,18 @@ def _unit_vector_2x2(red: Reduction) -> List[StarPoly]:
 
 def represent_one(A: PolyMatrix) -> List[StarPoly]:
     """v with v* A v = 1 for hermitian A with gcd(A) = 1."""
-    T = A.tower
-    n = A.rows
     if form_kind(A) != HERMITIAN:
         raise ValueError("represent_one needs a hermitian matrix")
     d, _ = gcd_of_matrix(A)
     if not d.is_one():
         raise ValueError("represent_one needs gcd(A) = 1")
+    return _represent_one(A)
+
+
+def _represent_one(A: PolyMatrix) -> List[StarPoly]:
+    """represent_one, with its input checks left to the caller."""
+    T = A.tower
+    n = A.rows
     if determinant(A).is_zero():
         cert = kernel_split(A)
         # the zero block leads; its size is the index of the first nonzero row
@@ -491,7 +505,7 @@ def represent_one(A: PolyMatrix) -> List[StarPoly]:
         while k < n and all(cert.B.entries[k][j].is_zero() for j in range(n)):
             k += 1
         core = cert.B.submatrix(range(k, n), range(k, n))
-        v1 = represent_one(core)
+        v1 = _represent_one(core)
         v = [StarPoly.zero(T)] * k + v1
     else:
         cert = compress_form(A)
@@ -535,11 +549,7 @@ def _unit_vector(A: PolyMatrix) -> List[StarPoly]:
             break
     corner = B.entries[1][n - 1]
     lam_poly = None
-    count = 0
-    for lam in T.enumerate_scalars():
-        count += 1
-        if count > _SCAN_CAP:
-            raise ReductionError("lambda scan failed to reach gcd 1")
+    for lam in _scan(T, "lambda scan failed to reach gcd 1"):
         x = StarPoly.const(T, lam)
         moved = corner + x * a0n
         g = base
@@ -553,7 +563,7 @@ def _unit_vector(A: PolyMatrix) -> List[StarPoly]:
     sub = red.B.submatrix(range(1, n), range(1, n))
     sub_g, _ = gcd_of_matrix(sub)
     _require(sub_g.is_one(), "lambda scan left a trailing block with gcd != 1")
-    return apply_matrix(red.S, [StarPoly.zero(T)] + represent_one(sub))
+    return apply_matrix(red.S, [StarPoly.zero(T)] + _represent_one(sub))
 
 
 def split_one(A: PolyMatrix, v: Sequence[StarPoly]) -> Certificate:
@@ -641,11 +651,7 @@ def _sk2_zero_diagonal(A: PolyMatrix) -> Certificate:
     x, dd = coprime_even_bezout(b, c)
     ccs = c * c.star()
     bcs = b * c.star()
-    count = 0
-    for lam in T.enumerate_scalars():
-        count += 1
-        if count > _SCAN_CAP:
-            raise ReductionError("sk2 lambda scan failed")
+    for lam in _scan(T, "sk2 lambda scan failed"):
         lp = StarPoly.const(T, lam)
         x_try = x + lp * ccs
         if a1.is_constant() or poly_gcd(a1, x_try).is_one():
@@ -888,13 +894,9 @@ def _dx_descent(red: Reduction) -> None:
         v = ass * x * x.star()
         if (w % d).is_zero() and (v % d).is_zero():
             return False
-        count = 0
-        for lam in T.enumerate_scalars():
+        for lam in _scan(T, "d_X lambda scan exhausted"):
             if lam.is_zero():
                 continue
-            count += 1
-            if count > _SCAN_CAP:
-                raise ReductionError("d_X lambda scan exhausted")
             lp = StarPoly.const(T, lam)
             cand = red.B.entries[1][1] + lp * w + lp * lp * v
             g = red.B.entries[0][1]

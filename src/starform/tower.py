@@ -30,10 +30,10 @@ involved, to one of two branches:
   a e_j for each basis element e_j, built once per coefficient of the
   shorter factor, so each product term costs one multiply-add per nonzero
   coordinate of the other factor, not one per pair of coordinates.  The
-  rows live only for one call; they are not kept on elements.  Where sums
-  could overflow a packed slot, they fall back to schoolbook loops
-  (``_mul_slow`` for field elements, the generic loops in ``poly_mul`` and
-  ``poly_divmod``, one product at a time in ``poly_dot``).
+  rows live only for one call; they are not kept on elements.  The slot
+  width follows p and the level's F_p-dimension, so a slot holds at least
+  255 products before the packed accumulators are reduced mod p; every
+  prime takes this one branch.
 
 The level-0 branch runs on int lists mod p (``_int_dot``, ``_int_divmod``),
 and the element-list kernel converts to them and back.  A tower that has
@@ -48,8 +48,8 @@ and is kept on it (``FieldElem._inv``); canonical elements are shared per
 level, so a divisor's leading coefficient is inverted once, not at every
 division.
 
-p must be an odd prime below 2^24, since F_p coordinates are packed into
-24-bit slots.
+p must be an odd prime below 2^24, since the element caches key each
+element by its F_p coordinates packed into 24-bit slots.
 """
 
 from __future__ import annotations
@@ -201,11 +201,15 @@ class FieldElem:
 _ROOT_SEARCH_LIMIT = 1 << 16
 
 
-_PACK_BITS = 24
-_PACK_MASK = (1 << _PACK_BITS) - 1
-# F_p coordinates travel packed in _PACK_BITS-bit slots (the element cache
-# keys), so they must fit one
-_MAX_P = 1 << _PACK_BITS
+# The element caches key each element by its F_p coordinates packed into
+# _KEY_BITS-bit slots, so p must fit one
+_KEY_BITS = 24
+_MAX_P = 1 << _KEY_BITS
+
+
+def _poly_key(h) -> tuple:
+    """The order in which factors are sorted: by degree, then coefficients."""
+    return len(h), [c.key() for c in h]
 
 
 class _FlatField:
@@ -214,29 +218,52 @@ class _FlatField:
     into single integers so a product is one fused multiply-add per term),
     and inversion solves the multiplication-by-a linear system mod p.
 
-    A packed slot holds sums of unreduced terms a_i b_j (e_i e_j)_k, each
-    below (p-1)^3, and one product of coefficient vectors adds at most D^2
-    of them; ``max_pairs`` is how many such products fit in a slot, 0 when
-    not even one does.
+    A packed slot is ``bits`` wide.  It holds sums of unreduced terms
+    a_i b_j (e_i e_j)_k, each below (p-1)^3, and one product of coefficient
+    vectors adds at most D^2 of them.  The width leaves room for
+    ``max_pairs`` such products, at least 255, on top of a value below p,
+    which is what a slot holds at the start and after ``reduce``.
 
     ``wide[i]`` holds the D packed rows e_i e_j side by side, so the
     multiplication rows of an element (``Tower._mul_rows``) cost one
     multiply-add per nonzero coordinate."""
 
-    __slots__ = ("D", "basis_prod", "packed", "wide", "row_shifts", "row_mask",
-                 "max_pairs")
+    __slots__ = ("D", "p", "bits", "mask", "shifts", "basis_prod", "packed",
+                 "wide", "row_shifts", "row_mask", "max_pairs")
 
     def __init__(self, D: int, p: int, basis_prod):
         self.D = D
+        self.p = p
+        product = D * D * (p - 1) ** 3
+        self.bits = product.bit_length() + 8
+        self.mask = (1 << self.bits) - 1
+        self.max_pairs = (self.mask - (p - 1)) // product
+        self.shifts = range(0, self.bits * D, self.bits)
         self.basis_prod = basis_prod  # [i][j] -> coordinate list of e_i e_j
-        self.packed = [[sum(v << (_PACK_BITS * k) for k, v in enumerate(row))
-                        for row in rows] for rows in basis_prod]
-        width = _PACK_BITS * D
+        self.packed = [[self.pack(row) for row in rows] for rows in basis_prod]
+        width = self.bits * D
         self.wide = [sum(v << (width * j) for j, v in enumerate(rows))
                      for rows in self.packed]
         self.row_shifts = range(0, width * D, width)
         self.row_mask = (1 << width) - 1
-        self.max_pairs = _PACK_MASK // (D * D * (p - 1) ** 3)
+
+    def pack(self, coords) -> int:
+        return sum(c << s for c, s in zip(coords, self.shifts))
+
+    def unpack(self, v: int) -> List[int]:
+        """The F_p coordinates held in v's slots, each mod p."""
+        coords = [0] * self.D
+        bits, mask, p = self.bits, self.mask, self.p
+        k = 0
+        while v:
+            coords[k] = (v & mask) % p
+            v >>= bits
+            k += 1
+        return coords
+
+    def reduce(self, v: int) -> int:
+        """v with each slot reduced mod p."""
+        return self.pack(self.unpack(v)) if v else 0
 
 
 class Tower:
@@ -244,7 +271,7 @@ class Tower:
 
     def __init__(self, p: int, seed: int = DEFAULT_SEED):
         if p >= _MAX_P:
-            raise ValueError(f"p must be below 2^{_PACK_BITS}, got {p}")
+            raise ValueError(f"p must be below 2^{_KEY_BITS}, got {p}")
         if not _is_prime(p) or p == 2:
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
@@ -331,7 +358,7 @@ class Tower:
             return self._fp_cache[coords[0]]
         packed = 0
         for k in range(len(coords) - 1, -1, -1):
-            packed = (packed << _PACK_BITS) | coords[k]
+            packed = (packed << _KEY_BITS) | coords[k]
         caches = self._elem_cache
         while len(caches) <= level:
             caches.append({})
@@ -350,19 +377,9 @@ class Tower:
                 cache[packed] = e
         return e
 
-    def _unpack(self, v: int, D: int) -> List[int]:
-        """The F_p coordinates held in v's slots, each mod p."""
-        coords = [0] * D
-        k = 0
-        while v:
-            coords[k] = (v & _PACK_MASK) % self.p
-            v >>= _PACK_BITS
-            k += 1
-        return coords
-
-    def _from_packed(self, level: int, D: int, v: int) -> FieldElem:
+    def _from_packed(self, level: int, ff: _FlatField, v: int) -> FieldElem:
         """The element whose F_p coordinates are v's slots, each mod p."""
-        return self._elem_from_flat(level, self._unpack(v, D))
+        return self._elem_from_flat(level, ff.unpack(v))
 
     @staticmethod
     def _mul_rows(ff: _FlatField, terms) -> List[int]:
@@ -371,8 +388,8 @@ class Tower:
         unreduced, so a b = sum of b_j rows[j], one multiply-add per nonzero
         coordinate of b.  A slot of a row is below D (p-1)^2 and a product
         still adds at most D^2 terms below (p-1)^3 to a slot, so the bound
-        of ``ff.max_pairs`` (at least 1 here) is unchanged.  A single
-        coordinate takes the precomputed rows of its basis element."""
+        of ``ff.max_pairs`` is unchanged.  A single coordinate takes the
+        precomputed rows of its basis element."""
         if len(terms) == 1:
             i, ai = terms[0]
             rows = ff.packed[i]
@@ -386,13 +403,11 @@ class Tower:
 
     def _mul_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
         ff = self._flat(level)
-        if not ff.max_pairs:
-            return self._mul_slow(a, b)
         rows = self._mul_rows(ff, a._coord_terms())
         v = 0
         for j, bj in b._coord_terms():
             v += bj * rows[j]
-        return self._from_packed(level, ff.D, v)
+        return self._from_packed(level, ff, v)
 
     def _add_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
         D = self.coord_size(level)
@@ -401,27 +416,24 @@ class Tower:
         cb = self._flat_coords(b, D)
         return self._elem_from_flat(level, [(x + y) % p for x, y in zip(ca, cb)])
 
-    def poly_mul_flat(self, ca_elems, cb_elems, level: int):
-        """Convolution of two coefficient vectors whose entries live at the
-        extension ``level``: the whole product accumulates in packed integer
-        space, materializing only the output coefficients.  None when the
-        sums could overflow a packed slot."""
+    def poly_mul_flat(self, ca_elems, cb_elems, level: int) -> List[FieldElem]:
+        """Convolution of two nonempty coefficient vectors whose entries live
+        at the extension ``level``: the whole product accumulates in packed
+        integer space, materializing only the output coefficients."""
         ff = self._flat(level)
-        if min(len(ca_elems), len(cb_elems)) > ff.max_pairs:
-            return None
-        D = ff.D
-        return [self._from_packed(level, D, v)
+        return [self._from_packed(level, ff, v)
                 for v in self._packed_dot([(ca_elems, cb_elems)], ff)]
 
     def _packed_dot(self, pairs, ff: _FlatField) -> List[int]:
         """Sum of the products f_i g_i of nonempty coefficient vectors, one
         packed unreduced int per output coefficient.  The multiplication rows
         of each coefficient of the shorter factor are built once and serve
-        every coefficient of the other.  A slot takes at most D^2 terms
-        below (p-1)^3 from each pair per output coefficient, so the sum over
-        pairs of min(len f_i, len g_i) must not exceed ``ff.max_pairs``."""
+        every coefficient of the other.  Each such coefficient adds at most
+        D^2 terms below (p-1)^3 to a slot, so after every ``ff.max_pairs``
+        of them the accumulators are reduced mod p."""
         mul_rows = self._mul_rows
         acc = [0] * (max(len(f) + len(g) for f, g in pairs) - 1)
+        room = ff.max_pairs
         for f, g in pairs:
             if len(f) > len(g):
                 f, g = g, f
@@ -430,6 +442,10 @@ class Tower:
                 A_ = a._coord_terms()
                 if not A_:
                     continue
+                if not room:
+                    acc = [ff.reduce(v) for v in acc]
+                    room = ff.max_pairs
+                room -= 1
                 rows = mul_rows(ff, A_)
                 for ib, B_ in enumerate(sb, ia):
                     if B_:
@@ -653,25 +669,13 @@ class Tower:
                         out[j] += x * y
             cache = self._fp_cache
             return [cache[v % p] for v in out]
-        out = self.poly_mul_flat(f, g, lv)
-        if out is not None:
-            return out
-        add, mul = self.add, self.mul
-        out = [self.zero] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(g, i):
-                if not y.is_zero():
-                    out[j] = add(out[j], mul(x, y))
-        return out
+        return self.poly_mul_flat(f, g, lv)
 
     def poly_dot(self, pairs) -> List[FieldElem]:
         """The trimmed sum of the products f_i g_i over ``pairs`` of
         coefficient lists.  Each output coefficient accumulates over all the
         pairs in one int (level 0) or one packed int (an extension level)
-        and is built as an element once; past the packed overflow bound the
-        pairs are multiplied and added one at a time."""
+        and is built as an element once."""
         live = [(f, g) for f, g in pairs if f and g]
         if not live:
             return []
@@ -689,13 +693,7 @@ class Tower:
             return [cache[v] for v in self._int_dot(
                 [([x.rep for x in f], [y.rep for y in g]) for f, g in live])]
         ff = self._flat(lv)
-        if sum(min(len(f), len(g)) for f, g in live) > ff.max_pairs:
-            out: List[FieldElem] = []
-            for f, g in live:
-                out = self.poly_add(out, self.poly_mul(f, g))
-            return out
-        D = ff.D
-        out = [self._from_packed(lv, D, v) for v in self._packed_dot(live, ff)]
+        out = [self._from_packed(lv, ff, v) for v in self._packed_dot(live, ff)]
         return self.poly_trim(out)
 
     def _int_dot(self, pairs) -> List[int]:
@@ -744,31 +742,17 @@ class Tower:
             q, r = self._int_divmod([c.rep for c in f], [c.rep for c in g])
             cache = self._fp_cache
             return [cache[v] for v in q], [cache[v] for v in r]
-        ff = self._flat(lv)
-        if len(f) - n + 1 < ff.max_pairs:
-            return self._divmod_flat(f, g, lv, ff)
-        mul, sub = self.mul, self.sub
-        ginv = self.inv(g[-1])
-        r = list(f)
-        q = [self.zero] * (len(f) - n + 1)
-        for k in range(len(q) - 1, -1, -1):
-            c = mul(r[k + n - 1], ginv)
-            q[k] = c
-            if not c.is_zero():
-                for i, y in enumerate(g, k):
-                    if not y.is_zero():
-                        r[i] = sub(r[i], mul(c, y))
-        return q, self.poly_trim(r[:n - 1])
+        return self._divmod_flat(f, g, lv, self._flat(lv))
 
     def _divmod_flat(self, f, g, level: int, ff: _FlatField):
         """poly_divmod at an extension level, in packed coordinates: the
         remainder stays packed, each step subtracts the quotient coefficient
         times the precomputed packed rows of the monic divisor, and only the
         quotient and the final remainder are built as elements.  A slot of
-        the remainder takes one product of coordinate vectors per step, so
-        the quotient must have fewer than ``ff.max_pairs`` coefficients."""
+        the remainder takes at most one product of coordinate vectors per
+        step, so after every ``ff.max_pairs`` steps it is reduced mod p."""
         D, p = ff.D, self.p
-        mul_rows, unpack = self._mul_rows, self._unpack
+        mul_rows, unpack = self._mul_rows, ff.unpack
         n = len(g)
         # the multiplication rows of lc(g)^-1, and hrows[j][i]: e_i times
         # the t^j coefficient of g / lc(g), packed
@@ -777,24 +761,28 @@ class Tower:
         for y in g[:-1]:
             terms = y._coord_terms()
             if ginv is not None and terms:
-                hy = unpack(sum([c * ginv[i] for i, c in terms]), D)
+                hy = unpack(sum([c * ginv[i] for i, c in terms]))
                 terms = [(i, c) for i, c in enumerate(hy) if c]
             hrows.append(mul_rows(ff, terms))
-        shift = range(0, _PACK_BITS * D, _PACK_BITS)
         fc = self._flat_coords
-        r = [sum(c << s for c, s in zip(fc(e, D), shift)) for e in f]
+        r = [ff.pack(fc(e, D)) for e in f]
         q = [self.zero] * (len(f) - n + 1)
+        room = ff.max_pairs
         for k in range(len(q) - 1, -1, -1):
-            lead = unpack(r[k + n - 1], D)
+            lead = unpack(r[k + n - 1])
             terms = [(i, p - c) for i, c in enumerate(lead) if c]
             if not terms:
                 continue
             if ginv is not None:
-                lead = unpack(sum([c * ginv[i] for i, c in enumerate(lead) if c]), D)
+                lead = unpack(sum([c * ginv[i] for i, c in enumerate(lead) if c]))
             q[k] = self._elem_from_flat(level, lead)
+            if not room:
+                r[:k + n - 1] = [ff.reduce(v) for v in r[:k + n - 1]]
+                room = ff.max_pairs
+            room -= 1
             for j, rows in enumerate(hrows, k):
                 r[j] += sum(c * rows[i] for i, c in terms)
-        rem = [self._from_packed(level, D, v) for v in r[:n - 1]]
+        rem = [self._from_packed(level, ff, v) for v in r[:n - 1]]
         return q, self.poly_trim(rem)
 
     def poly_mod(self, f, g) -> List[FieldElem]:
@@ -880,15 +868,9 @@ class Tower:
     def _find_nonsquare(self, level: int) -> FieldElem:
         """Deterministically the first non-square at ``level`` (field order)."""
         q = self.field_order(level)
-        n = self.coord_size(level)
         idx = 2
         while True:
-            coords = []
-            m = idx
-            for _ in range(n):
-                coords.append(m % self.p)
-                m //= self.p
-            c = self.from_fp_coords(level, coords)
+            c = self._elem_of_index(level, idx)
             if not c.is_zero() and not self.pow(c, (q - 1) // 2).is_one():
                 return c
             idx += 1
@@ -908,40 +890,55 @@ class Tower:
         f = self.poly_trim(list(coeffs))
         if not f:
             raise ValueError("zero polynomial has no well-defined roots")
-        if len(f) == 1:
-            return []
-        f = self.poly_monic(f)
+        # The order in which factors grow the tower names the levels, which
+        # show in canonical output, so it is fixed: factors whose
+        # multiplicities have equal p-adic valuation form a group, taken by
+        # increasing valuation; a group is taken in factor order up to the
+        # first factor that grows the tower, then from its last factor back.
         roots: List[FieldElem] = []
-        # squarefree split: stack of (poly, multiplicity)
-        stack: List[Tuple[List[FieldElem], int]] = [(f, 1)]
-        squarefree: List[Tuple[List[FieldElem], int]] = []
-        while stack:
-            g, m = stack.pop()
-            g = self.poly_monic(g)
-            if len(g) == 2:
-                roots.extend([self.neg(g[0])] * m)
+        groups = {}
+        for h, m in self.factor_monic(f):
+            if len(h) == 2:  # its root is in the tower: it never grows it
+                roots.extend([self.neg(h[0])] * m)
                 continue
-            if len(g) == 1:
-                continue
-            dg = self._pderiv(g)
-            if not dg:
-                # g = h(t^p) = (frobenius-root h)(t)^p in characteristic p
-                h = [self._pth_root(g[i]) for i in range(0, len(g), self.p)]
-                stack.append((h, m * self.p))
-                continue
-            d = self.poly_gcd(g, dg)
-            if len(d) == 1:
-                squarefree.append((g, m))
-            else:
-                q, r = self.poly_divmod(g, d)
-                if r:
-                    raise AssertionError("gcd(g, g') does not divide g")
-                stack.append((d, m))
-                stack.append((q, m))
-        for g, m in squarefree:
-            for root in self._roots_squarefree(g):
-                roots.extend([root] * m)
-        roots.sort(key=lambda r: r.key())
+            v, e = 0, m
+            while e % self.p == 0:
+                v, e = v + 1, e // self.p
+            groups.setdefault(v, []).append((h, m))
+        for _, group in sorted(groups.items()):
+            top = len(self.levels)
+            for k, (h, m) in enumerate(group):
+                roots.extend(self._roots_of_irreducible(h) * m)
+                if len(self.levels) > top:
+                    for h, m in reversed(group[k + 1:]):
+                        roots.extend(self._roots_of_irreducible(h) * m)
+                    break
+        roots.sort(key=FieldElem.key)
+        return roots
+
+    def _roots_of_irreducible(self, h) -> List[FieldElem]:
+        """The roots of h, monic and irreducible of degree >= 2 over the
+        level of its coefficients: from the smallest existing level that
+        holds them, or else from one new level."""
+        d = len(h) - 1
+        base = max(c.level for c in h)
+        # they lie in every level whose field contains F_{q_base^d}
+        unit = self.coord_size(base) * d
+        for lv in range(base + 1, len(self.levels) + 1):
+            if self.coord_size(lv) % unit == 0:
+                roots = self._roots_in_level(h, lv)
+                if len(roots) != d:
+                    raise AssertionError(f"{len(roots)} roots of a degree-{d} "
+                                         f"irreducible in level {lv}")
+                return roots
+        # over the top level h breaks into factors of one degree, and the
+        # level that adjoins a root of one of them holds the roots of all
+        top = len(self.levels)
+        pieces = [h] if base == top else sorted(
+            self._factor_over_level(h, top)[1], key=_poly_key)
+        roots = self._grow_with_orbit(pieces[0])
+        for piece in pieces[1:]:
+            roots.extend(self._roots_of_irreducible(piece))
         return roots
 
     def _pderiv(self, f):
@@ -955,49 +952,6 @@ class Tower:
         if q == self.p:
             return c
         return self.pow(c, q // self.p)
-
-    def _roots_squarefree(self, f) -> List[FieldElem]:
-        roots: List[FieldElem] = []
-        pending = [f]
-        while pending:
-            g = self.poly_monic(pending.pop())
-            base = max((c.level for c in g), default=0)
-            lin, irred = self._factor_over_level(g, base)
-            roots.extend(lin)
-            irred.sort(key=lambda h: (len(h), [c.key() for c in h]))
-            for idx, h in enumerate(irred):
-                d = len(h) - 1
-                # roots of an irreducible of degree d over the base level live
-                # in any existing level whose field contains F_{q_base^d}
-                unit = self.coord_size(base) * d
-                target = None
-                for lv in range(base + 1, len(self.levels) + 1):
-                    if self.coord_size(lv) % unit == 0:
-                        target = lv
-                        break
-                if target is not None:
-                    got = self._roots_in_level(h, target)
-                    if len(got) != d:
-                        raise AssertionError(f"{len(got)} roots of a degree-{d} "
-                                             f"irreducible in level {target}")
-                    roots.extend(got)
-                    continue
-                top = len(self.levels)
-                if base < top:
-                    # h may break into smaller pieces over the top field
-                    lin2, irred2 = self._factor_over_level(h, top)
-                    roots.extend(lin2)
-                    irred2.sort(key=lambda hh: (len(hh), [c.key() for c in hh]))
-                    if irred2:
-                        roots.extend(self._grow_with_orbit(irred2[0]))
-                        pending.extend(irred2[1:])
-                    pending.extend(irred[idx + 1:])
-                    break
-                roots.extend(self._grow_with_orbit(h))
-                # remaining factors may now split in the new level
-                pending.extend(irred[idx + 1:])
-                break
-        return roots
 
     def _grow_with_orbit(self, minpoly) -> List[FieldElem]:
         """Adjoin a root of an irreducible-over-top polynomial; its full root
@@ -1078,7 +1032,7 @@ class Tower:
                     work.append(u)
                     work.append(self.poly_divmod(h, u)[0])
                     break
-        out.sort(key=lambda h: (len(h), [c.key() for c in h]))
+        out.sort(key=_poly_key)
         return out
 
     # ---------------- factorization without growth ----------------
@@ -1113,15 +1067,14 @@ class Tower:
                 continue
             dg = self._pderiv(g)
             if not dg:
+                # g = h(t^p) = (frobenius-root h)(t)^p in characteristic p
                 h = [self._pth_root(g[i]) for i in range(0, len(g), self.p)]
                 stack.append((h, m * self.p))
                 continue
             d = self.poly_gcd(g, dg)
             if len(d) == 1:
                 lin, irred = self._factor_over_level(g, base)
-                for root in lin:
-                    record([self.neg(root), self.one], m)
-                for h in irred:
+                for h in [[self.neg(r), self.one] for r in lin] + irred:
                     record(h, m)
             else:
                 q, r = self.poly_divmod(g, d)
@@ -1129,7 +1082,7 @@ class Tower:
                     raise AssertionError("gcd(g, g') does not divide g")
                 stack.append((d, m))
                 stack.append((q, m))
-        out.sort(key=lambda hm: (len(hm[0]), [c.key() for c in hm[0]]))
+        out.sort(key=lambda hm: _poly_key(hm[0]))
         return out
 
     def find_one_root(self, coeffs: Sequence[FieldElem]) -> FieldElem:
@@ -1145,17 +1098,13 @@ class Tower:
         for lv in range(base + 1, len(self.levels) + 1):
             if self.coord_size(lv) % unit == 0 \
                     and self.field_order(lv) <= _ROOT_SEARCH_LIMIT:
-                roots = self._roots_in_level(h, lv)
-                roots.sort(key=lambda r: r.key())
-                return roots[0]
+                return min(self._roots_in_level(h, lv), key=FieldElem.key)
         top = len(self.levels)
         if base < top:
             lin, irred = self._factor_over_level(h, top)
             if lin:
-                lin.sort(key=lambda r: r.key())
-                return lin[0]
-            irred.sort(key=lambda hh: (len(hh), [c.key() for c in hh]))
-            return self.grow(irred[0])
+                return min(lin, key=FieldElem.key)
+            return self.grow(min(irred, key=_poly_key))
         return self.grow(h)
 
     # ---------------- square roots ----------------
@@ -1181,17 +1130,18 @@ class Tower:
         while True:
             if len(self.levels) < level:
                 self.grow_quadratic()
-            lo = self.p ** self.coord_size(level - 1)
-            hi = self.p ** self.coord_size(level)
-            n_coords = self.coord_size(level)
-            for idx in range(lo, hi):
-                coords = []
-                m = idx
-                for _ in range(n_coords):
-                    coords.append(m % self.p)
-                    m //= self.p
-                yield self.from_fp_coords(level, coords)
+            for idx in range(self.field_order(level - 1), self.field_order(level)):
+                yield self._elem_of_index(level, idx)
             level += 1
+
+    def _elem_of_index(self, level: int, idx: int) -> FieldElem:
+        """The element of ``level`` whose F_p coordinates are the base-p
+        digits of idx, least significant first."""
+        coords = []
+        for _ in range(self.coord_size(level)):
+            idx, c = divmod(idx, self.p)
+            coords.append(c)
+        return self.from_fp_coords(level, coords)
 
     # ---------------- text form ----------------
 

@@ -10,6 +10,7 @@ from starform.cli import (InputError, format_matrix, format_problem, main,
 from starform.tower import Tower
 from starform.starpoly import StarPoly, parse_poly
 from starform.polymat import CertificateError, PolyMatrix
+from starform.canonical import canonicalize
 
 
 def run_cli(args, python_flags=(), preexec_fn=None):
@@ -63,6 +64,26 @@ def test_parse_problem_errors():
         parse_problem("p = 5\nepsilon = +1\nA = [ [ t ] ]\n")  # wrong eps
     with pytest.raises(InputError):
         parse_problem("p = 5\nn = 3\nA = [ [ 1 ] ]\n")  # wrong n
+
+
+def test_parse_problem_generator_lines():
+    """Generator lines grow the levels a tower lacks and must match the
+    levels it has; a level out of order, a reducible minimal polynomial or a
+    mismatch is an input error."""
+    text = "p = 5\n# generator u1: u1^2+3 = 0\n# generator u2: u2^2+u1 = 0\nA = [ [ u2 ] ]\n"
+    tower, _, A, _ = parse_problem(text)
+    assert tower.describe_levels() == ["u1: u1^2+3 = 0", "u2: u2^2+u1 = 0"]
+    assert A.entries[0][0].coeff(0) == tower.generator(2)
+    assert parse_problem(text, tower)[0] is tower and tower.num_levels() == 2
+    for bad in ("# generator u2: u2^2+3 = 0\n",              # out of order
+                "# generator u1: u1^2+1 = 0\n",              # -1 = 2^2 mod 5
+                "# generator u1: u1^2+3 = 0\n# generator u2: u2^2+2 = 0\n",
+                "# generator u1: u1^2+2 = 0\n# generator u2: u2^3+u1 = 0\n",
+                "# generator u1: t^2+3 = 0\n"):
+        with pytest.raises(InputError):
+            parse_problem(f"p = 5\n{bad}A = [ [ 1 ] ]\n")
+    with pytest.raises(InputError):  # not the tower's level 1
+        parse_problem("p = 5\n# generator u1: u1^2+2 = 0\nA = [ [ 1 ] ]\n", tower)
 
 
 def test_invariants_command(prob_file):
@@ -127,6 +148,47 @@ def test_verify_command(prob_file, tmp_path):
     s_file.write_text("p = 5\nA = [ [ t, 0 ], [ 0, 1 ] ]\n")
     code, out, _ = run_cli(["verify", prob_file, str(s_file), str(b_file)])
     assert code == 1 and "not unimodular" in out
+
+
+def test_extension_field_certificate_round_trip(tmp_path):
+    """2 is not a square mod 5, so S holds u1: the certificate carries its
+    generator, the canonical text does not, and verify reads S and B back
+    with the certificate's header lines."""
+    prob = tmp_path / "a.prob"
+    prob.write_text("p = 5\nepsilon = +1\nn = 1\nA = [ [ 2 ] ]\n")
+    cert = tmp_path / "cert.out"
+    code, out, _ = run_cli(["canonical", str(prob), "--certificate-out", str(cert)])
+    assert code == 0
+    assert out.splitlines() == ["p = 5", "epsilon = +1", "n = 1", "1x1: 1"]
+    lines = cert.read_text().splitlines()
+    assert "# generator u1: u1^2+3 = 0" in lines
+    header = [l for l in lines if l.split("=", 1)[0].strip() not in
+              ("epsilon", "n", "A", "S", "B")]
+    for key in ("S", "B"):
+        matrix = next(l for l in lines if l.startswith(f"{key} = ")).split("= ", 1)[1]
+        (tmp_path / f"{key}.prob").write_text("\n".join(header + [f"A = {matrix}"]) + "\n")
+    code, out, err = run_cli(["verify", str(prob), str(tmp_path / "S.prob"),
+                              str(tmp_path / "B.prob")])
+    assert (code, out) == (0, "pass\n"), err
+
+
+def test_canonical_text_does_not_depend_on_the_tower(tmp_path):
+    """Two congruent forms whose reductions grow different towers print the
+    same canonical text: only the generators the blocks use are printed."""
+    texts = []
+    for matrix in ("[ [ -2*t^2-2, 0, -t^4+t^2+2 ], [ 0, -2, -t^3-3*t^2-t-3 ], "
+                   "[ -t^4+t^2+2, t^3-3*t^2+t-3, -2*t^4+3*t^2-2 ] ]",
+                   "[ [ 3*t^4-3*t^2+2, t^4+t^3+2*t^2+t+1, 2*t^3-t^2+2*t-1 ], "
+                   "[ t^4-t^3+2*t^2-t+1, 3*t^4+t^2-2, -t^3+t^2-t+1 ], "
+                   "[ -2*t^3-t^2-2*t-1, t^3+t^2+t+1, 2*t^2+2 ] ]"):
+        prob = tmp_path / "a.prob"
+        prob.write_text(f"p = 7\nepsilon = +1\nn = 3\nA = {matrix}\n")
+        tower, _, A, _ = parse_problem(prob.read_text())
+        canonicalize(A, 1)
+        texts.append((tower.num_levels(), run_cli(["canonical", str(prob)])))
+    (levels1, first), (levels2, second) = texts
+    assert levels1 != levels2
+    assert first == second and first[1].endswith("1x1: t^2+1\n1x1: t^2+1\n")
 
 
 def test_library_certificate_failure_exits_1(prob_file, monkeypatch, capsys):
@@ -211,8 +273,9 @@ def test_input_error_exit_code(tmp_path):
     bad.write_text("p = 5\nA = [ [ x ] ]\n")
     code, _, err = run_cli(["invariants", str(bad)])
     assert code == 2
-    # the first prime above 2^24: F_p coordinates no longer fit a packed
-    # slot; under a memory limit, since such a Tower once built a p x p table
+    # the first prime above 2^24: F_p coordinates no longer fit a slot of
+    # the element-cache keys; under a memory limit, since such a Tower once
+    # built a p x p table
     big = tmp_path / "big.prob"
     big.write_text("p = 16777259\nA = [ [ t ] ]\n")
     code, _, err = run_cli(["invariants", str(big)],

@@ -13,7 +13,8 @@ from starform.starpoly import StarPoly, gcd, is_pure, parse_poly
 from starform.polymat import (HERMITIAN, SKEW, PolyMatrix, determinant,
                               form_kind, form_value, gcd_of_matrix,
                               invariant_factors, smith_form)
-from starform.congruence import (block_swap, compress_form,
+from starform import congruence
+from starform.congruence import (ReductionError, block_swap, compress_form,
                                  her2_diagonalize, isotropic_vector,
                                  represent_one, sk2_zero_diagonal, sk_split,
                                  split_one)
@@ -118,6 +119,20 @@ def test_isotropic_constant_scan_is_capped_at_a_large_prime():
         signal.signal(signal.SIGALRM, previous)
     assert form_value(A, v, v).is_zero()
     assert any(not e.is_zero() for e in v)
+
+
+def test_lambda_scan_stops_at_its_cap(monkeypatch):
+    """The shared lambda scan yields the scalar stream up to _SCAN_CAP
+    scalars and raises on the next, growing the tower only as the stream
+    does."""
+    monkeypatch.setattr(congruence, "_SCAN_CAP", 7)
+    T = Tower(3)
+    scan = congruence._scan(T, "scan ran out")
+    assert [int(str(next(scan))) for _ in range(3)] == [0, 1, 2]
+    assert all(e.level == 1 for e in itertools.islice(scan, 4))
+    with pytest.raises(ReductionError, match="scan ran out"):
+        next(scan)
+    assert T.num_levels() == 1
 
 
 def test_isotropic_1x1_error():

@@ -76,10 +76,10 @@ def _kernel_towers():
     """(tower, level): F_5 (int arithmetic), then packed flat products over
     F_81, a small two-level case, over the three-level F_{5^8}, and over
     F_{3^24} (levels of degree 4, 2 and 3), where building an element's
-    multiplication rows saves the most; then F_{101^2}, whose packed slots
-    hold only 4 products of coordinate vectors, so larger sums and
-    quotients take the generic loops, and F_{8191^2}, where not even one
-    fits and every product takes them."""
+    multiplication rows saves the most; then F_{163^2}, the first prime
+    whose quadratic products would not fit a 24-bit slot, and F_{8191^2}.
+    Those two adjoin a root of x^2 + 1, so that u^2 = p - 1 keeps the
+    products of large coordinates large."""
     prime = Tower(5)
     small = Tower(3)
     small.grow_quadratic()
@@ -96,12 +96,18 @@ def _kernel_towers():
         deep.grow([deep.from_fp_coords(1, c) if isinstance(c, tuple) else deep.elem(c)
                    for c in minpoly])
     assert deep.coord_size(3) == 24
-    tight = Tower(101)
-    tight.grow_quadratic()
-    wide = Tower(8191)
-    wide.grow_quadratic()
-    assert (tight._flat(1).max_pairs, wide._flat(1).max_pairs) == (4, 0)
-    return [(prime, 0), (small, 2), (flat, 3), (deep, 3), (tight, 1), (wide, 1)]
+    towers = [(prime, 0), (small, 2), (flat, 3), (deep, 3)]
+    for p in (163, 8191):
+        T = Tower(p)
+        T.grow([T.one, T.zero, T.one])
+        assert T._flat(1).max_pairs >= 255
+        towers.append((T, 1))
+    return towers
+
+
+def _largest(T, lv):
+    """The element of level lv whose F_p coordinates are all p - 1."""
+    return T.from_fp_coords(lv, [T.p - 1] * T.coord_size(lv))
 
 
 def test_kernel_matches_schoolbook():
@@ -126,19 +132,26 @@ def test_kernel_matches_schoolbook():
                     _school_divmod(T, list(a.coeffs), list(b.coeffs))
             assert list(gcd(a, b).coeffs) == \
                 _school_gcd(T, list(a.coeffs), list(b.coeffs))
+        if T.p > 100:
+            # more than max_pairs products in the middle slots of a b, and
+            # more than max_pairs quotient steps in (a b) / g
+            a = [_largest(T, lv)] * (T._flat(lv).max_pairs + 2)
+            ab = T.poly_mul(a, a)
+            assert ab == _school_mul(T, a, a)
+            g = [T.one, _largest(T, lv), T.elem(2)]
+            assert T.poly_divmod(ab, g) == _school_divmod(T, ab, g)
 
 
 def test_poly_dot_matches_schoolbook():
     """poly_dot against the sum of schoolbook products: pairs of mixed
-    levels, pairs that cancel, and sums on both sides of the packed bound."""
+    levels, pairs that cancel, and sums that put more products into one
+    slot than it holds without a reduction mod p."""
     rng = random.Random(23)
     for T, lv in _kernel_towers():
         def rand(maxdeg, level=None):
             f = [T.random_element(rng.randint(0, lv) if level is None else level, rng)
                  for _ in range(rng.randint(0, maxdeg + 1))]
             return _school_trim(f)
-        bound = T._flat(lv).max_pairs if lv else None
-        sides = set()
         assert T.poly_dot([]) == []
         for trial in range(40):
             pairs = [(rand(5), rand(4)) for _ in range(rng.randint(1, 4))]
@@ -151,37 +164,35 @@ def test_poly_dot_matches_schoolbook():
             for f, g in pairs:
                 want = _school_add(T, want, _school_mul(T, f, g))
             assert T.poly_dot(pairs) == want
-            if bound is not None:
-                sides.add(sum(min(len(f), len(g)) for f, g in pairs if f and g) > bound)
             f, g = rand(4), rand(4)
             assert T.poly_dot([(f, g), ([T.neg(c) for c in f], g)]) == []
-        if bound == 4:
-            assert sides == {False, True}
+        if T.p > 100:
+            # 8 max_pairs products of the largest element into the middle
+            # slot: twice what it holds unreduced
+            f = [_largest(T, lv)] * 20
+            pairs = [(f, f)] * (8 * T._flat(lv).max_pairs // 20)
+            want = []
+            for _ in pairs:
+                want = _school_add(T, want, _school_mul(T, f, f))
+            assert T.poly_dot(pairs) == want
 
 
 def test_packed_divmod():
-    """q g + r = f with deg r < deg g, for monic and non-monic divisors,
-    with quotients on both sides of the packed bound."""
+    """q g + r = f with deg r < deg g, for monic and non-monic divisors."""
     rng = random.Random(29)
     for T, lv in _kernel_towers():
         def rand(length):
             f = [T.random_element(rng.randint(0, lv), rng) for _ in range(length - 1)]
             return f + [T.random_element(lv, rng) or T.one]
-        bound = T._flat(lv).max_pairs if lv else None
-        sides = set()
         for trial in range(30):
             g = rand(rng.randint(1, 4))
             if trial % 2:
                 g = T.poly_monic(g)
             f = rand(len(g) + rng.randint(0, 7))
-            if bound is not None:
-                sides.add(len(f) - len(g) + 1 >= bound)
             q, r = T.poly_divmod(f, g)
             assert len(r) < len(g)
             assert _school_add(T, _school_mul(T, q, g), r) == f
             assert (q, r) == _school_divmod(T, f, g)
-        if bound == 4:
-            assert sides == {False, True}
 
 
 # ---------------- star and parity ----------------

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from starform.starpoly import parse_poly
 from starform.tower import Tower
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -90,6 +91,30 @@ def test_find_roots_reproduces_polynomial():
         for r in roots:
             prod = T.poly_mul(prod, [T.neg(r), T.one])
         assert prod == T.poly_trim(list(coeffs))
+
+
+@pytest.mark.parametrize("p, text, levels, roots", [
+    # three factors that each grow the tower, one of them repeated: the
+    # tower grows for the quadratic, then the quartic, then the cubic
+    (5, "(t^2+2)^2*(t^3+t+1)*(t^4+2)",
+     ["u1: u1^2+2 = 0", "u2: u2^2+u1 = 0", "u3: u3^3+u3+1 = 0"],
+     ["u1", "u1", "4*u1", "4*u1", "u2", "2*u2", "3*u2", "4*u2", "u3",
+      "4*u3^2+u3+1", "u3^2+3*u3+4"]),
+    # a multiplicity divisible by p: the quadratic comes after the others,
+    # and by then a level holds its roots
+    (3, "(t^2+1)^3*(t^3+2*t+1)*(t^4+t+2)",
+     ["u1: u1^3+2*u1+1 = 0", "u2: u2^4+u2+2 = 0"],
+     ["u1", "u1+1", "u1+2", "u2^3", "u2", "u2^3+u2^2+u2", "u2^3+2*u2^2+u2",
+      "2*u2^3+2*u2^2+u2", "2*u2^3+2*u2^2+u2", "2*u2^3+2*u2^2+u2",
+      "u2^3+u2^2+2*u2", "u2^3+u2^2+2*u2", "u2^3+u2^2+2*u2"]),
+])
+def test_find_roots_growth_order(p, text, levels, roots):
+    """The order in which factors grow the tower names the levels, and so
+    shows in canonical output: these are pinned."""
+    T = Tower(p)
+    f = parse_poly(text, T)
+    assert [str(r) for r in T.find_roots(list(f.coeffs))] == roots
+    assert T.describe_levels() == levels
 
 
 def test_minimal_polynomials_stay_irreducible():
@@ -192,8 +217,8 @@ def _quadratic_tower(p, levels):
 
 def test_flat_level_matches_slow_arithmetic():
     # small levels F_9, F_25, F_49 and F_81 (two quadratic levels), the
-    # three-level F_{5^8}, then primes whose packed flat products overflowed
-    # a 24-bit slot and came out wrong
+    # three-level F_{5^8}, then primes whose packed flat products once
+    # overflowed a fixed 24-bit slot and came out wrong
     towers = [_quadratic_tower(3, 1), _quadratic_tower(5, 1),
               _quadratic_tower(7, 1), _quadratic_tower(3, 2),
               _quadratic_tower(5, 3), _tower_with_binomial_level(4099, 3),
@@ -238,10 +263,12 @@ def test_extension_inverse_is_memoized():
 
 def test_large_prime_builds_no_product_table():
     # Tower(65537) once built a p x p product table and ran out of memory; a
-    # 1 GiB address-space limit on the child makes a regression fail here
+    # 1 GiB address-space limit on the child makes a regression fail here.
+    # Its packed slots still hold hundreds of products.
     code = ("from starform.tower import Tower\n"
             "T = Tower(65537)\n"
             "x = T.grow_quadratic() + T.elem(65000)\n"
+            "assert T._flat(1).max_pairs >= 255\n"
             "assert T.mul(x, x) == T._mul_slow(x, x)\n"
             "assert T.mul(x, T.inv(x)) == T.one\n")
     proc = subprocess.run(
