@@ -764,8 +764,7 @@ class Tower:
                 hy = unpack(sum([c * ginv[i] for i, c in terms]))
                 terms = [(i, c) for i, c in enumerate(hy) if c]
             hrows.append(mul_rows(ff, terms))
-        fc = self._flat_coords
-        r = [ff.pack(fc(e, D)) for e in f]
+        r = [ff.pack(self._flat_coords(e, D)) for e in f]
         q = [self.zero] * (len(f) - n + 1)
         room = ff.max_pairs
         for k in range(len(q) - 1, -1, -1):

@@ -178,7 +178,8 @@ def test_poly_dot_matches_schoolbook():
 
 
 def test_packed_divmod():
-    """q g + r = f with deg r < deg g, for monic and non-monic divisors."""
+    """q g + r = f with deg r < deg g, for monic and non-monic divisors, and
+    a quotient long enough to need the reductions of the packed remainder."""
     rng = random.Random(29)
     for T, lv in _kernel_towers():
         def rand(length):
@@ -193,6 +194,16 @@ def test_packed_divmod():
             assert len(r) < len(g)
             assert _school_add(T, _school_mul(T, q, g), r) == f
             assert (q, r) == _school_divmod(T, f, g)
+        if T.p == 8191:
+            # q and r are known by construction.  Each quotient coefficient
+            # is 1 + u and each lower coefficient of g the largest element,
+            # so a step adds about a quarter of the worst-case product to a
+            # slot, and a remainder slot unreduced for all L steps overflows.
+            L = 4 * T._flat(lv).max_pairs + 8
+            g = [_largest(T, lv)] * L + [T.one]
+            q = [T.from_fp_coords(lv, [1, 1])] * L
+            r = [_largest(T, lv)] * L
+            assert T.poly_divmod(T.poly_add(T.poly_mul(q, g), r), g) == (q, r)
 
 
 # ---------------- star and parity ----------------
