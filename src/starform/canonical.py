@@ -9,7 +9,8 @@ congruent inputs canonicalize to byte-identical block lists.
 
 The canonicalizer (``_core``) splits the zero block off first, then one
 block at a time off a shrinking trailing window, composing S by one window
-product per block.  One Smith form of A gives every window's gcd and, for a
+product per block: a skew split already ends on the canonical block
+[[0, p],[-p*, 0]].  One Smith form of A gives every window's gcd and, for a
 skew block, its f f*, so each window is reduced once and no builder checks
 its input again.  It checks nothing itself: ``canonicalize`` checks its
 result once, and ``are_congruent`` checks only the certificate it composes
@@ -24,8 +25,7 @@ from .starpoly import EVEN, ODD, StarPoly, canonical_pure_factor
 from .polymat import (HERMITIAN, Certificate, CertificateError, PolyMatrix,
                       form_kind, inverse, invariant_factors, kernel_split,
                       mul_window)
-from .congruence import (_sk_split, _unit_vector, block_swap, compress_form,
-                         split_one)
+from .congruence import _sk_split, _unit_vector, compress_form, split_one
 from .tower import Tower
 
 
@@ -251,9 +251,10 @@ def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, List]:
     block of ``kernel_split``.  (1) (+) M has invariant factors (1, inv M)
     and N (+) D with f f* | D has (1, f f*, inv D), so W has the suffix
     fs[i:] of the nonzero invariant factors of A: gcd fs[i], and a skew
-    block's f f* is fs[i+1] / fs[i].  Each step reduces W / fs[i] once,
-    splits one block off it, multiplies the window columns of S by the
-    step's transform, and leaves the rest, times fs[i], as the next W."""
+    block's f f* is fs[i+1] / fs[i], whose canonical pure factor p the
+    skew split ends on.  Each step reduces W / fs[i] once, splits one block
+    off it, multiplies the window columns of S by the step's transform, and
+    leaves the rest, times fs[i], as the next W."""
     T = A.tower
     n = A.rows
     fs = [f for f in invariant_factors(A) if not f.is_zero()]
@@ -271,14 +272,12 @@ def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, List]:
         comp = compress_form(W.exact_div(d))
         if (eps if d.parity() == EVEN else -eps) == HERMITIAN:
             cert = split_one(comp.B, _unit_vector(comp.B))
-            step, size, block = cert.S, 1, Block1(d)
+            size, block = 1, Block1(d)
         else:
             p = canonical_pure_factor(fs[off - k + 1].exact_div(d))
-            res = _sk_split(comp.B, p)
-            cert = res.cert
-            step = PolyMatrix(T, mul_window(cert.S, block_swap(res.f, p).S, 0))
+            cert = _sk_split(comp.B, p).cert
             size, block = 2, Block2(d, p, eps)
-        S = PolyMatrix(T, mul_window(S, comp.S @ step, off))
+        S = PolyMatrix(T, mul_window(S, comp.S @ cert.S, off))
         blocks.append(block)
         off += size
         if off < n:

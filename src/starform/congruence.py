@@ -15,11 +15,12 @@ Certificate (S unimodular, S* A S = B).  The entry points:
   and split off a (1) block.
 - ``her2_diagonalize``: 2x2 hermitian, gcd 1, det != 0 -> diag(1, det A).
 - ``sk2_zero_diagonal``: 2x2 skew, gcd 1, det != 0 -> zero diagonal.
-- ``sk_split``: n x n skew, gcd 1, det != 0 -> [[0,f],[-f*,0]] (+) D with
-  f pure of half the degree of the second invariant factor and f f*
-  dividing every entry of D.
+- ``sk_split``: n x n skew, gcd 1, det != 0 -> [[0,p],[-p*,0]] (+) D with
+  p the canonical pure factor of the second invariant factor f2 = p p*
+  and p p* dividing every entry of D.
 - ``block_swap``: congruence between 2x2 zero-diagonal skew blocks whose
-  off-diagonal entries share a norm.
+  pure off-diagonal entries share a norm, in one move built from a gcd
+  and an even Bezout relation; ``sk_split`` ends with it.
 """
 
 from __future__ import annotations
@@ -702,58 +703,38 @@ def _skew_block(f: StarPoly) -> PolyMatrix:
 def block_swap(f: StarPoly, f_new: StarPoly) -> Certificate:
     """Certificate S with S* [[0,f],[-f*,0]] S = [[0,f'],[-f'*,0]].
 
-    Needs f, f' pure with f f* = u^2 f' f'* for a constant u.  Root-sign
-    mismatches are swapped one +/- pair at a time; all copies of a value go
-    into the swapped factor so the two norms stay coprime.
+    Needs f, f' pure with f f* = u f' f'* for a constant u.
     """
-    T = f.tower
     if not (is_pure(f) and is_pure(f_new)):
         raise ValueError("block_swap needs pure polynomials")
-    ratio = f * f.star()
-    q, rem = divmod(ratio, f_new * f_new.star())
+    q, rem = divmod(f * f.star(), f_new * f_new.star())
     if not rem.is_zero() or q.degree() != 0:
-        raise ValueError("block_swap needs matching norms up to a unit square")
-    A = _skew_block(f)
-    red = Reduction(A)
-    target_roots = {}
-    for r in f_new.roots():
-        target_roots[r] = target_roots.get(r, 0) + 1
-    cur = f
-    guard = 0
-    while True:
-        guard += 1
-        if guard > A.rows * 8 + len(cur.roots()) + 8:
-            raise ReductionError("block swap failed to converge")
-        cur_roots = {}
-        for r in cur.roots():
-            cur_roots[r] = cur_roots.get(r, 0) + 1
-        mismatch = None
-        for r in sorted(cur_roots, key=lambda e: e.key()):
-            if target_roots.get(r, 0) != cur_roots[r]:
-                mismatch = r
-                break
-        if mismatch is None:
-            break
-        k = cur_roots[mismatch]
-        nr = T.neg(mismatch)
-        if target_roots.get(nr, 0) != k:
-            raise ValueError("block_swap root multisets are incompatible")
-        b = StarPoly.from_roots(T, [mismatch] * k)
-        a = cur.exact_div(b)
-        aa = a * a.star()
-        bb = b * b.star()
-        g, X, Y = even_bezout(bb, aa)
+        raise ValueError("block_swap needs matching norms up to a constant")
+    return _block_swap(f, f_new)
+
+
+def _block_swap(f: StarPoly, f_new: StarPoly) -> Certificate:
+    """block_swap, unchecked, in one move.
+
+    f is pure, so f f* holds each irreducible power h^m of f together with
+    (h*)^m and nothing else, and the pure f' of the same norm holds exactly
+    one of the two.  So b = gcd(f, f'*) gathers the powers that flip and
+    a = f / b the ones that stay: f' = c a b* for a constant c, and a a* is
+    coprime to b b*.  With the even Bezout relation b b* x + a a* y = 1,
+    M = [[b, a y], [-a*, b* x]] takes [[0, ab],[-(ab)*, 0]] to
+    [[0, ab*],[-(ab*)*, 0]]; it is skipped when nothing flips (b = 1).
+    Scaling column 1 by c then ends on f'.
+    """
+    T = f.tower
+    red = Reduction(_skew_block(f))
+    b = poly_gcd(f, f_new.star())
+    if b.degree() > 0:
+        a = f.exact_div(b)
+        g, x, y = even_bezout(b * b.star(), a * a.star())
         _require(g.is_one(), "block swap norm factors are not coprime")
-        x, y = X, -Y
-        # S* [[0, ab*],[-a*b, 0]] S = [[0, ab],[-a*b*, 0]] with this S
-        S_lem = PolyMatrix(T, [[b.star() * x, a * y], [a.star(), b]])
-        S_inv = PolyMatrix(T, [[b, -(a * y)], [-a.star(), b.star() * x]])
-        red.apply(S_inv)
-        cur = red.B.entries[0][1]
-    scale = cur.exact_div(f_new)
-    if not scale.is_one():
-        _require(scale.degree() == 0, "block swap scale is not a constant")
-        red.scale_col(1, StarPoly.const(T, T.inv(scale.constant_value())))
+        red.apply(PolyMatrix(T, [[b, a * y], [-a.star(), b.star() * x]]))
+    c = red.B.entries[0][1].exact_div(f_new)
+    red.scale_col(1, StarPoly.const(T, T.inv(c.lc())))
     _require(red.B == _skew_block(f_new), "block swap did not reach the target block")
     return red.certificate()
 
@@ -917,7 +898,8 @@ def _dx_descent(red: Reduction) -> None:
 
 def sk_split(A: PolyMatrix) -> SkewSplitResult:
     """Skew-hermitian A with gcd 1 and det != 0: verified congruence to
-    [[0, f],[-f*, 0]] (+) D, f pure of degree deg(f2)/2, f f* | D entrywise."""
+    [[0, p],[-p*, 0]] (+) D, p the canonical pure factor of the second
+    invariant factor f2 (``canonical_pure_factor``), p p* | D entrywise."""
     T = A.tower
     if form_kind(A) != SKEW:
         raise ValueError("sk_split needs a skew-hermitian matrix")
@@ -940,7 +922,8 @@ def sk_split(A: PolyMatrix) -> SkewSplitResult:
 
 def _sk_split(A: PolyMatrix, p: StarPoly) -> SkewSplitResult:
     """sk_split of a reduced A, unchecked: p is the canonical pure factor of
-    the second invariant factor f2 of A, so f f* = p p* up to a unit."""
+    the second invariant factor f2 of A.  The split reaches some pure f with
+    f f* = p p* up to a unit, and _block_swap carries its corner to p."""
     n = A.rows
     red = Reduction(A)
     if n > 2:
@@ -975,4 +958,6 @@ def _sk_split(A: PolyMatrix, p: StarPoly) -> SkewSplitResult:
                 raise ReductionError("f f* fails to divide the complement")
     q, rem = divmod(p * p.star(), ffs)
     _require(rem.is_zero() and q.degree() == 0, "f f* is not f2 up to a unit")
-    return SkewSplitResult(red.certificate(), f, D)
+    if f != p:
+        red.embed(_block_swap(f, p).S, 0)
+    return SkewSplitResult(red.certificate(), p, D)

@@ -223,12 +223,6 @@ class StarPoly:
             acc = T.add(T.mul(acc, x), c)
         return acc
 
-    def roots(self) -> List[FieldElem]:
-        """Roots with multiplicity over the closure (may grow the tower)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        return self.tower.find_roots(list(self.coeffs))
-
     def __str__(self):
         return format_poly(self)
 

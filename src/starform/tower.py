@@ -889,8 +889,8 @@ class Tower:
         f = self.poly_trim(list(coeffs))
         if not f:
             raise ValueError("zero polynomial has no well-defined roots")
-        # The order in which factors grow the tower names the levels, which
-        # show in canonical output, so it is fixed: factors whose
+        # The order in which factors grow the tower names the levels that
+        # callers of this public method see, so it is fixed: factors whose
         # multiplicities have equal p-adic valuation form a group, taken by
         # increasing valuation; a group is taken in factor order up to the
         # first factor that grows the tower, then from its last factor back.

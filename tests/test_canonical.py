@@ -112,6 +112,18 @@ def test_canonicalize_skew_example():
     assert all(isinstance(b, Block1) for b in cb.blocks)
 
 
+def test_canonicalize_skew_block_stays_over_prime_field():
+    """The skew split swaps t^2+4t+2 for its star, the canonical pure
+    factor, in one gcd move: no root of the quadratic is adjoined."""
+    T = Tower(5)
+    A = M([["0", "t^2+4*t+2"], ["-t^2-t-2", "0"]], T)
+    cert, cb = canonicalize(A, SKEW)
+    assert cert.verify(A)
+    assert cb.serialize(T).splitlines()[-1] == "2x2: 1 | t^2+t+2"
+    assert T.describe_levels() == []
+    assert all(c.level == 0 for row in cert.S.entries for e in row for c in e.coeffs)
+
+
 def test_canonicalize_zero_matrix():
     T = Tower(5)
     A = PolyMatrix.zeros(T, 3, 3)

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from starform.tower import Tower
-from starform.starpoly import StarPoly, gcd, is_pure, parse_poly
+from starform.starpoly import (StarPoly, canonical_pure_factor, gcd, is_pure,
+                               parse_poly)
 from starform.polymat import (HERMITIAN, SKEW, PolyMatrix, determinant,
                               form_kind, form_value, gcd_of_matrix,
                               invariant_factors, smith_form)
@@ -323,6 +324,7 @@ def test_sk_split_n2_reduces_to_sk2():
     assert is_pure(res.f)
     f2 = smith_form(A).factors[1]
     assert res.f.degree() == f2.degree() // 2
+    assert res.f == canonical_pure_factor(f2)
 
 
 def test_sk_split_gcd_precondition():
@@ -348,6 +350,7 @@ def test_sk_split_random_n4():
         assert is_pure(res.f)
         f2 = smith_form(A).factors[1]
         assert res.f.degree() == f2.degree() // 2
+        assert res.f == canonical_pure_factor(f2)
         ffs = res.f * res.f.star()
         assert (f2 % ffs).is_zero() and f2.degree() == ffs.degree()
         for row in res.D.entries:
@@ -390,35 +393,30 @@ def test_block_swap_norm_mismatch_rejected():
 
 
 def test_block_swap_random():
+    """Whole factors flip with their multiplicities, the irreducible
+    quadratics as well as the linear factors, and the swap never grows the
+    tower: it takes no roots."""
     rng = random.Random(6)
+    T = Tower(5)
+    # one factor from each pair {h, h*}: t -+ 1, t -+ 2 and two quadratics
+    # irreducible over F_5 (discriminants 3 and 2 are non-squares)
+    families = [parse_poly(h, T) for h in ("t-1", "t-2", "t^2+t+2", "t^2+2*t+3")]
     done = 0
     while done < 30:
-        T = Tower(5)
-        roots = []
-        banned = set()
-        for _ in range(rng.randint(1, 3)):
-            opts = [a for a in range(1, 5) if a not in banned]
-            if not opts:
-                break
-            lam = rng.choice(opts)
-            banned.add((-lam) % 5)
-            roots.append(T.elem(lam))
-        if not roots:
+        picked = [(h if rng.random() < 0.5 else h.star().monic(), rng.randint(1, 3))
+                  for h in families if rng.random() < 0.6]
+        if not picked:
             continue
-        f = StarPoly.from_roots(T, roots, lead=rng.randrange(1, 5))
-        # flip a random subset of root VALUES (all copies together), scale
-        flip = {r: rng.random() < 0.5 for r in set(roots)}
-        flipped = [T.neg(r) if flip[r] else r for r in roots]
-        fp = StarPoly.from_roots(T, flipped, lead=rng.randrange(1, 5))
-        ratio = (f * f.star()).exact_div(fp * fp.star())
-        if ratio.degree() != 0:
-            continue
-        # adjust the constant so the norms match up to a square, which over
-        # the closure is automatic; block_swap validates internally
+        f = StarPoly.const(T, T.elem(rng.randrange(1, 5)))
+        fp = StarPoly.const(T, T.elem(rng.randrange(1, 5)))
+        for h, m in picked:
+            f = f * h ** m
+            fp = fp * (h.star() if rng.random() < 0.5 else h) ** m
         cert = block_swap(f, fp)
         assert cert.verify(_skew_block(f))
         assert cert.B == _skew_block(fp)
         assert is_pure(cert.B.entries[0][1])
+        assert T.num_levels() == 0
         done += 1
 
 

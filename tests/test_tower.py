@@ -109,8 +109,9 @@ def test_find_roots_reproduces_polynomial():
       "u2^3+u2^2+2*u2", "u2^3+u2^2+2*u2", "u2^3+u2^2+2*u2"]),
 ])
 def test_find_roots_growth_order(p, text, levels, roots):
-    """The order in which factors grow the tower names the levels, and so
-    shows in canonical output: these are pinned."""
+    """The order in which factors grow the tower names the levels; a
+    public method gives the same tower from the same calls, so these are
+    pinned."""
     T = Tower(p)
     f = parse_poly(text, T)
     assert [str(r) for r in T.find_roots(list(f.coeffs))] == roots
