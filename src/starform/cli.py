@@ -8,9 +8,15 @@ Problem file format (line oriented, diffable):
     n = 2
     A = [ [ 0, t ], [ t, t^3 ] ]
 
-Entries may use the generators u1, u2, ... of the tower, each defined by a
+Each entry is a sum of terms such as ``c*t^k`` joined by + and -, with an
+optional leading sign; a term is a product of factors joined by *, and a
+factor is t, an integer (reduced mod p), a generator uK or a parenthesized
+entry, each optionally raised to ^k.  Whitespace is ignored anywhere inside
+an entry.  The generators u1, u2, ... of the tower are each defined by a
 comment line ``# generator uK: <minimal polynomial in uK> = 0``, as
 certificates carry them.
+
+`main` builds its argument parser once per process and reuses it.
 
 Exit codes: 0 success, 1 a certificate failed its check (in `verify` or in
 the library) or a `selftest` check failed, 2 input error.
@@ -19,6 +25,7 @@ the library) or a `selftest` check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -347,7 +354,12 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call to `main`: callers must not mutate it.  Each parse_args call makes a
+    fresh namespace, and the parser holds no command function: `main` looks
+    up ``cmd_<command>`` when it runs, so a rebound command is seen."""
     ap = argparse.ArgumentParser(
         prog="starform",
         description="exact congruence canonical forms for hermitian and "
@@ -356,25 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="print invariant factors")
     p_inv.add_argument("file")
-    p_inv.set_defaults(func=cmd_invariants)
 
     p_can = sub.add_parser("canonical", help="canonicalize under congruence")
     p_can.add_argument("file")
     p_can.add_argument("--certificate-out")
     p_can.add_argument("--trace", action="store_true")
-    p_can.set_defaults(func=cmd_canonical)
 
     p_con = sub.add_parser("congruent", help="decide congruence of two matrices")
     p_con.add_argument("file_a")
     p_con.add_argument("file_b")
     p_con.add_argument("--certificate-out")
-    p_con.set_defaults(func=cmd_congruent)
 
     p_ver = sub.add_parser("verify", help="check S* A S = B exactly")
     p_ver.add_argument("file_a")
     p_ver.add_argument("file_s")
     p_ver.add_argument("file_b")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_rnd = sub.add_parser("random", help="generate test instances")
     p_rnd.add_argument("--seed", type=int, default=0)
@@ -385,21 +393,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_rnd.add_argument("--moves", type=int, default=6)
     p_rnd.add_argument("--count", type=int, default=1)
     p_rnd.add_argument("--out")
-    p_rnd.set_defaults(func=cmd_random)
 
     p_self = sub.add_parser("selftest", help="smoke-test the library")
     p_self.add_argument("--budget-seconds", type=float, default=60.0)
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.set_defaults(func=cmd_selftest)
 
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

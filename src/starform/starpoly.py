@@ -540,8 +540,20 @@ def format_poly(a: StarPoly) -> str:
 
 
 class _Parser:
+    """Recursive descent over the entry grammar, whitespace dropped first:
+
+        expr   := [+|-] term {(+|-) term}
+        term   := factor {* factor}
+        factor := t [^ int] | atom [^ int]
+        atom   := ( expr ) | uK | int
+
+    Integers are reduced mod p and uK is the generator of tower level K.
+    Values are the tower kernel's trimmed coefficient lists: t^k is built as
+    the list [0]*k + [1], so a term c*t^k costs one product by a constant,
+    and ^ on any other atom squares and multiplies (StarPoly.__pow__)."""
+
     def __init__(self, text: str, tower: Tower):
-        self.text = text.replace(" ", "")
+        self.text = "".join(text.split())
         self.pos = 0
         self.tower = tower
 
@@ -557,38 +569,47 @@ class _Parser:
         value = self.expr()
         if self.pos != len(self.text):
             raise ValueError(f"trailing input at {self.pos} in {self.text!r}")
-        return value
+        return StarPoly(self.tower, value)
 
-    def expr(self) -> StarPoly:
+    def expr(self) -> List[FieldElem]:
+        T = self.tower
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.peek() == "-" else 1
             self.pos += 1
         value = self.term()
         if sign < 0:
-            value = -value
+            value = T.poly_neg(value)
         while self.peek() in ("+", "-"):
             op = self.peek()
             self.pos += 1
             rhs = self.term()
-            value = value - rhs if op == "-" else value + rhs
+            value = T.poly_sub(value, rhs) if op == "-" else T.poly_add(value, rhs)
         return value
 
-    def term(self) -> StarPoly:
+    def term(self) -> List[FieldElem]:
         value = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            value = value * self.factor()
+            value = self.tower.poly_mul(value, self.factor())
         return value
 
-    def factor(self) -> StarPoly:
+    def factor(self) -> List[FieldElem]:
+        T = self.tower
+        if self.peek() == "t":
+            self.pos += 1
+            k = 1
+            if self.peek() == "^":
+                self.pos += 1
+                k = self.integer()
+            return [T.zero] * k + [T.one]
         value = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            value = value ** self.integer()
+            value = list((StarPoly(T, value) ** self.integer()).coeffs)
         return value
 
-    def atom(self) -> StarPoly:
+    def atom(self) -> List[FieldElem]:
         T = self.tower
         ch = self.peek()
         if ch == "(":
@@ -596,15 +617,11 @@ class _Parser:
             value = self.expr()
             self.take(")")
             return value
-        if ch == "t":
-            self.pos += 1
-            return StarPoly.t(T)
         if ch == "u":
             self.pos += 1
-            k = self.integer()
-            return StarPoly.const(T, T.generator(k))
+            return [T.generator(self.integer())]
         if ch.isdigit():
-            return StarPoly.const(T, self.integer())
+            return T.poly_trim([T.elem(self.integer())])
         raise ValueError(f"unexpected character {ch!r} at {self.pos} in {self.text!r}")
 
     def integer(self) -> int:
@@ -617,4 +634,6 @@ class _Parser:
 
 
 def parse_poly(text: str, tower: Tower) -> StarPoly:
+    """Parse one entry written in the grammar of ``_Parser`` into ``tower``;
+    raises ValueError on text outside it or on a level the tower lacks."""
     return _Parser(text, tower).parse()

@@ -191,6 +191,43 @@ def test_canonical_text_does_not_depend_on_the_tower(tmp_path):
     assert first == second and first[1].endswith("1x1: t^2+1\n1x1: t^2+1\n")
 
 
+def test_whitespace_inside_an_entry_is_ignored(tmp_path):
+    """A tab inside an entry is whitespace like a space: the tabbed file
+    reads as the same matrix as the spaced one."""
+    spaced = parse_problem("p = 5\nA = [ [ t^2 +1, t ], [ -t, 2 ] ]\n")[2]
+    tabbed = tmp_path / "tab.prob"
+    tabbed.write_text("p = 5\nA = [ [ t^2\t+1, t ], [ -\tt, 2 ] ]\n")
+    assert format_matrix(parse_problem(tabbed.read_text())[2]) == format_matrix(spaced)
+    assert main(["invariants", str(tabbed)]) == 0
+
+
+def test_main_reuses_one_parser(prob_file, capsys):
+    """The parser is built once per process; a usage error or an input
+    error in one call leaves the next calls' results as they were."""
+    from starform import cli
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["invariants", prob_file]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants"])
+    assert exc.value.code == 2
+    assert main(["invariants", prob_file + ".missing"]) == 2
+    capsys.readouterr()
+    assert main(["invariants", prob_file]) == 0
+    assert capsys.readouterr().out == first
+    assert main(["verify", prob_file, prob_file, prob_file]) == 1
+    assert capsys.readouterr().out.startswith("fail:")
+
+
+def test_main_calls_a_rebound_command(prob_file, monkeypatch):
+    """main looks each command up when it runs, so a wrapper bound after the
+    parser was built (a test double, a tracer) is the one called."""
+    from starform import cli
+    assert main(["invariants", prob_file]) == 0
+    monkeypatch.setattr(cli, "cmd_invariants", lambda args: 7)
+    assert main(["invariants", prob_file]) == 7
+
+
 def test_library_certificate_failure_exits_1(prob_file, monkeypatch, capsys):
     from starform import cli
 

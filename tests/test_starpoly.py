@@ -507,8 +507,56 @@ def test_parse_extension_coefficients():
     assert parse_poly(format_poly(a), T) == a
 
 
-def test_parse_rejects_garbage():
+def _tower_with_sqrt2():
     T = Tower(5)
-    for bad in ("t^", "2**t", "(t", "x+1", ""):
+    T.sqrt(T.elem(2))   # 2 is not a square mod 5: u1 = sqrt(2)
+    return T
+
+
+def _entry_cases():
+    """(tower, text, the same polynomial built by StarPoly arithmetic)."""
+    T = Tower(5)
+    t, one = StarPoly.t(T), StarPoly.one(T)
+    c = lambda n: StarPoly.const(T, n)
+    cases = [(T, "(t+1)^3", (t + one) * (t + one) * (t + one)),
+             (T, "-(t-1)^2", -((t - one) * (t - one))),
+             (T, "t^0", one),
+             (T, "2*t*t^3", c(2) * t * t * t * t),
+             (T, "3^3*t", c(27) * t),
+             (T, "((t))^2", t * t),
+             (T, "7*t^2-12", c(7) * t * t - c(12))]
+    U = _tower_with_sqrt2()
+    tu, u = StarPoly.t(U), StarPoly.const(U, U.generator(1))
+    cases += [(U, "u1^2*t+u1", u * u * tu + u),
+              (U, "(u1+t)^2", (u + tu) * (u + tu))]
+    return [pytest.param(*case, id=case[1]) for case in cases]
+
+
+@pytest.mark.parametrize("T, text, expected", _entry_cases())
+def test_parse_grammar_matches_arithmetic(T, text, expected):
+    assert parse_poly(text, T) == expected
+
+
+def test_parse_term_costs_one_product_per_star(monkeypatch):
+    """t^k is built as a shift, not by powering t: a term c*t^k costs one
+    product, so an entry makes at most one kernel product per '*'."""
+    T = Tower(5)
+    calls = []
+    mul = Tower.poly_mul
+
+    def counted(self, f, g):
+        calls.append(1)
+        return mul(self, f, g)
+
+    monkeypatch.setattr(Tower, "poly_mul", counted)
+    text = "4*t^37+3*t^20-t^5+2"
+    a = parse_poly(text, T)
+    assert len(calls) <= text.count("*") == 2
+    assert a == StarPoly.from_ints(T, [2] + [0] * 4 + [4] + [0] * 14 + [3] + [0] * 16 + [4])
+
+
+def test_parse_rejects_garbage():
+    T = _tower_with_sqrt2()
+    for bad in ("t^", "2**t", "(t", "x+1", "", "2*", "t)", "u", "u3", "t^-1"):
         with pytest.raises(ValueError):
             parse_poly(bad, T)
