@@ -337,20 +337,38 @@ def _star_families(y: StarPoly):
 
 def _half_split(h: StarPoly) -> StarPoly:
     """For h irreducible with h* = +/- h and h(0) != 0: a pure w with
-    w w* = h up to a constant, built from half the Frobenius orbit of one
-    root (may grow the tower by one level)."""
+    w w* = h up to a constant, the product of the member with the smaller
+    key of each star pair {g, g*} of factors of h over the top level.
+
+    A factor g that is self-star, of degree 2e over the top level F_q, has
+    roots closed under a -> -a = a^(q^e), so g(0) is the norm of a root a
+    and g(0)^((q-1)/2) = a^((q^(2e)-1)/2) = (-1)^((q^e+1)/2): g(0) is a
+    non-square when q = 1 mod 4, and -1 is one when q = 3 mod 4.  The square
+    root of whichever of -g(0), g(0) is a non-square grows the top to
+    F_{q^2}, over which g splits into two factors of degree e.  So only the
+    quadratic levels that h needs and the tower lacks are grown, v_2(deg h)
+    over h's coefficients; at degree 2 the level is x^2 + h(0)."""
     T = h.tower
-    d = h.degree()
-    if d % 2 != 0:
+    if h.degree() % 2 != 0:
         raise ValueError("self-star irreducible factors have even degree")
-    base = max((c.level for c in h.coeffs), default=0)
-    q0 = T.field_order(base)
-    mu = T.find_one_root(list(h.coeffs))
-    w = StarPoly.one(T)
-    t = StarPoly.t(T)
-    for _ in range(d // 2):
-        w = w * (t - StarPoly.const(T, mu))
-        mu = T.pow(mu, q0)
+
+    def half(g: StarPoly) -> StarPoly:
+        roots, irred = T._factor_over_level(list(g.coeffs), T.num_levels())
+        pieces = [StarPoly(T, f) for f in [[T.neg(r), T.one] for r in roots] + irred]
+        if pieces == [g]:  # self-star and irreducible over the top level
+            c, q = g.coeffs[0], T.field_order(T.num_levels())
+            T.sqrt(c if T.pow(T.neg(c), (q - 1) // 2).is_one() else T.neg(c))
+            return half(g)
+        w = StarPoly.one(T)
+        for f in pieces:
+            fs = f.star().monic()
+            if f == fs:
+                w = w * half(f)
+            elif [c.key() for c in f.coeffs] < [c.key() for c in fs.coeffs]:
+                w = w * f
+        return w
+
+    w = half(h)
     if (w * w.star()).exact_div(h).degree() != 0:
         raise AssertionError("half split: w w* is not h up to a constant")
     return w
@@ -373,9 +391,8 @@ def _norm_factor_build(y: StarPoly, want_pure: bool, pick) -> StarPoly:
         z0 = z0 * (pick(lo, hi) ** m)
     for h, m in selfstars:
         if want_pure or m % 2:
-            w = _half_split(h)
+            w = _half_split(h)  # monic
             ws = w.star().monic()
-            w = w.monic()
             use = pick(*sorted((w, ws), key=lambda f: [c.key() for c in f.coeffs]))
             if want_pure:
                 z0 = z0 * (use ** m)

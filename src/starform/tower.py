@@ -7,9 +7,14 @@ elements, and arithmetic between elements of different levels lifts to the
 higher one.
 
 Elements are immutable values.  Operations that may *grow* the tower
-(``find_roots``, ``sqrt``, ``enumerate_scalars``) mutate the Tower and need
-exclusive access to it; everything else is safe to run concurrently on a
-frozen snapshot.
+mutate the Tower and need exclusive access to it; everything else is safe to
+run concurrently on a frozen snapshot.  The library grows it only through
+``sqrt``, by one quadratic level x^2 - a for a non-square a: the half
+splits of ``starpoly`` and ``grow_quadratic`` (so ``enumerate_scalars``)
+call it.  ``sqrt`` decides by Euler's criterion at a's level, and at level 0
+takes the root by Tonelli-Shanks on ints.  ``find_roots`` and ``grow`` add
+levels of any degree, for callers of the public API and for the CLI's
+``parse_problem``, which rebuilds a certificate's levels.
 
 The Tower also owns the one polynomial kernel of the package: the
 ``poly_*`` methods add, multiply, divide, take gcds and modular powers of
@@ -193,12 +198,6 @@ class FieldElem:
 
     def __repr__(self):
         return f"FieldElem({self})"
-
-
-# find_one_root takes a root from an existing level only when that level
-# has at most this many elements; otherwise it grows a new level.  Which
-# levels exist shows in canonical output, so changing it changes outputs.
-_ROOT_SEARCH_LIMIT = 1 << 16
 
 
 # The element caches key each element by its F_p coordinates packed into
@@ -876,42 +875,25 @@ class Tower:
 
     def grow_quadratic(self) -> FieldElem:
         """Grow the tower by the smallest pure quadratic x^2 - c, c a non-square."""
-        top = len(self.levels)
-        c = self._find_nonsquare(top)
-        return self.grow([self.neg(c), self.zero, self.one])
+        return self.sqrt(self._find_nonsquare(len(self.levels)))
 
     # ---------------- root finding ----------------
 
     def find_roots(self, coeffs: Sequence[FieldElem]) -> List[FieldElem]:
-        """All roots of the polynomial with multiplicity, growing the tower as
-        needed so the polynomial splits completely.  Deterministic given the
-        tower seed."""
+        """All roots of the polynomial with multiplicity, sorted by key,
+        growing the tower as needed so the polynomial splits completely:
+        the irreducible factors are taken in ``factor_monic`` order, and each
+        takes its roots from the smallest existing level that holds them or
+        else grows one level.  Deterministic given the tower seed."""
         f = self.poly_trim(list(coeffs))
         if not f:
             raise ValueError("zero polynomial has no well-defined roots")
-        # The order in which factors grow the tower names the levels that
-        # callers of this public method see, so it is fixed: factors whose
-        # multiplicities have equal p-adic valuation form a group, taken by
-        # increasing valuation; a group is taken in factor order up to the
-        # first factor that grows the tower, then from its last factor back.
         roots: List[FieldElem] = []
-        groups = {}
         for h, m in self.factor_monic(f):
             if len(h) == 2:  # its root is in the tower: it never grows it
                 roots.extend([self.neg(h[0])] * m)
-                continue
-            v, e = 0, m
-            while e % self.p == 0:
-                v, e = v + 1, e // self.p
-            groups.setdefault(v, []).append((h, m))
-        for _, group in sorted(groups.items()):
-            top = len(self.levels)
-            for k, (h, m) in enumerate(group):
+            else:
                 roots.extend(self._roots_of_irreducible(h) * m)
-                if len(self.levels) > top:
-                    for h, m in reversed(group[k + 1:]):
-                        roots.extend(self._roots_of_irreducible(h) * m)
-                    break
         roots.sort(key=FieldElem.key)
         return roots
 
@@ -1085,36 +1067,50 @@ class Tower:
         return out
 
     def find_one_root(self, coeffs: Sequence[FieldElem]) -> FieldElem:
-        """One root of a polynomial irreducible over the level of its
-        coefficients; prefers cheap extraction in small existing levels and
-        otherwise grows the tower (the new generator is a root)."""
-        h = self.poly_monic(self.poly_trim(list(coeffs)))
-        d = len(h) - 1
-        if d == 1:
-            return self.neg(h[0])
-        base = max((c.level for c in h), default=0)
-        unit = self.coord_size(base) * d
-        for lv in range(base + 1, len(self.levels) + 1):
-            if self.coord_size(lv) % unit == 0 \
-                    and self.field_order(lv) <= _ROOT_SEARCH_LIMIT:
-                return min(self._roots_in_level(h, lv), key=FieldElem.key)
-        top = len(self.levels)
-        if base < top:
-            lin, irred = self._factor_over_level(h, top)
-            if lin:
-                return min(lin, key=FieldElem.key)
-            return self.grow(min(irred, key=_poly_key))
-        return self.grow(h)
+        """The smallest root by key of ``find_roots``; bench/layers.py
+        times this name."""
+        return self.find_roots(coeffs)[0]
 
     # ---------------- square roots ----------------
 
     def sqrt(self, a: FieldElem) -> FieldElem:
-        """Deterministic square root (smallest root in the canonical order);
-        may grow the tower by one quadratic level."""
+        """The smaller square root of ``a`` by key.  Euler's criterion at
+        a's level decides where it lies: in that level when a is a square
+        there (by Tonelli-Shanks at level 0), else in the smallest existing
+        level of even degree over it, else in a new level x^2 - a, whose
+        generator is the root returned.  The only growth of the tower this
+        makes is by that quadratic level."""
         if a.is_zero():
             return self.zero
-        roots = self.find_roots([self.neg(a), self.zero, self.one])
-        return roots[0]
+        base = a.level
+        x2_minus_a = [self.neg(a), self.zero, self.one]
+        if self.pow(a, (self.field_order(base) - 1) // 2).is_one():
+            if base == 0:
+                r = self._fp_sqrt(a.rep)
+                return self._fp_cache[min(r, self.p - r)]
+            level = base
+        else:
+            even = 2 * self.coord_size(base)
+            level = next((lv for lv in range(base + 1, len(self.levels) + 1)
+                          if self.coord_size(lv) % even == 0), None)
+            if level is None:
+                return self.grow(x2_minus_a)
+        return min(self._roots_in_level(x2_minus_a, level), key=FieldElem.key)
+
+    def _fp_sqrt(self, a: int) -> int:
+        """A square root mod p of a nonzero square a, by Tonelli-Shanks."""
+        p = self.p
+        s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = odd * 2^s
+        odd = (p - 1) >> s
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        c, t, r = pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
+        while t != 1:  # r^2 = a t, t^(2^(s-1)) = 1 and c has order 2^s
+            i, t2 = 1, t * t % p
+            while t2 != 1:
+                i, t2 = i + 1, t2 * t2 % p
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        return r
 
     # ---------------- scalar enumeration ----------------
 
@@ -1149,10 +1145,13 @@ class Tower:
         polynomial expressions in the generator names."""
         if a.level == 0:
             return str(a.rep)
-        name = self.levels[a.level - 1].name
+        return self._format_in(self.levels[a.level - 1].name, a.rep)
+
+    def _format_in(self, name: str, coeffs) -> str:
+        """The polynomial with the given coefficients in the variable name."""
         terms = []
-        for i in range(len(a.rep) - 1, -1, -1):
-            c = a.rep[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c.is_zero():
                 continue
             if i == 0:
@@ -1170,24 +1169,5 @@ class Tower:
 
     def describe_levels(self) -> List[str]:
         """Header lines defining each generator by its minimal polynomial."""
-        out = []
-        for k, lv in enumerate(self.levels, start=1):
-            terms = []
-            for i in range(lv.degree, -1, -1):
-                c = lv.minpoly[i]
-                if c.is_zero():
-                    continue
-                if i == 0:
-                    term = self.format_elem(c)
-                elif i == 1:
-                    term = lv.name
-                else:
-                    term = f"{lv.name}^{i}"
-                if 0 < i and not c.is_one():
-                    cs = self.format_elem(c)
-                    if c.level > 0:
-                        cs = f"({cs})"
-                    term = f"{cs}*{term}"
-                terms.append(term)
-            out.append(f"{lv.name}: {'+'.join(terms)} = 0")
-        return out
+        return [f"{lv.name}: {self._format_in(lv.name, lv.minpoly)} = 0"
+                for lv in self.levels]

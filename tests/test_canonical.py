@@ -397,21 +397,23 @@ def _dense_form(p, n, eps, seed):
 
 
 @pytest.mark.parametrize("p, n, seed, levels, last", [
-    # F_{3^24}: the packed multiplication rows save the most here
-    pytest.param(3, 3, 23, ["u1: u1^4+u1^2+2 = 0", "u2: u2^2+u1^3+2*u1 = 0",
-                            "u3: u3^3+(2*u1^2+1)*u3^2+2*u1^2+1 = 0"],
+    # F_{3^8}; F_{3^24} while half splits grew levels of degree 4 and 3
+    pytest.param(3, 3, 23, ["u1: u1^2+1 = 0", "u2: u2^2+u1+2 = 0",
+                            "u3: u3^2+(u1)*u2 = 0"],
                  "t^6+t^4-t^2+1", id="3-23-levels0-t^6+t^4-t^2+1"),
     # F_{5^2}; F_{5^12} before compress_form reached deg det
     pytest.param(5, 3, 20, ["u1: u1^2+3 = 0"], "t^4+t^2+1",
                  id="5-20-levels1-t^4+t^2+1"),
-    # F_{3^8}; never finished before compress_form reached deg det
-    (3, 5, 3, ["u1: u1^2+1 = 0", "u2: u2^4+(2*u1+2)*u2^2+u1+1 = 0"],
+    # F_{3^8}, as when a half split grew a level of degree 4; never
+    # finished before compress_form reached deg det
+    (3, 5, 3, ["u1: u1^2+1 = 0", "u2: u2^2+u1+1 = 0",
+               "u3: u3^2+(u1+1)*u2+u1+1 = 0"],
      "t^10-t^8-t^6+t^4"),
 ])
 def test_dense_regressions_in_deep_towers(p, n, seed, levels, last):
     """Slow hermitian operations of the dense workload's generator finish
-    under a 5 s budget with the recorded tower and blocks: its two slowest
-    (n = 3), and member 3 of (3, 5, +1)."""
+    under a 5 s budget with the recorded blocks, over the recorded tower of
+    quadratic levels: its two slowest (n = 3), and member 3 of (3, 5, +1)."""
     T, A = _dense_form(p, n, HERMITIAN, seed)
 
     def over_budget(signum, frame):
@@ -425,6 +427,7 @@ def test_dense_regressions_in_deep_towers(p, n, seed, levels, last):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     cert.check(A)
+    assert all(T.level_degree(k) == 2 for k in range(1, T.num_levels() + 1))
     assert T.describe_levels() == levels
     assert cb.serialize(T).splitlines()[-3:] == ["1x1: 1", "1x1: 1", f"1x1: {last}"]
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starform.tower import Tower
-from starform.starpoly import (EVEN, MIXED, ODD, ZERO, StarPoly,
+from starform.starpoly import (EVEN, MIXED, ODD, ZERO, StarPoly, _half_split,
                                canonical_pure_factor, coprime_even_bezout,
                                even_bezout, format_poly, gcd, gcd_bezout,
                                is_pure, norm_factor, norm_factor_avoiding,
@@ -387,6 +387,43 @@ def test_canonical_pure_factor():
     assert canonical_pure_factor(h) == p
     with pytest.raises(ValueError):
         canonical_pure_factor(t**2)
+
+
+def _self_star_irreducible(T, d, level, rng):
+    """A monic irreducible h(t) = r(t^2) of degree d with h(0) != 0 whose
+    coefficients lie at ``level`` and no lower, drawn with rng."""
+    while True:
+        h = [T.random_element(level, rng) if k % 2 == 0 else T.zero
+             for k in range(d)] + [T.one]
+        if not h[0].is_zero() and max(c.level for c in h) == level \
+                and T.factor_monic(h) == [(h, 1)]:
+            return StarPoly(T, h)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+@pytest.mark.parametrize("p, base", [(3, 0), (5, 0), (7, 0), (3, 1), (5, 1)])
+def test_half_split_grows_quadratic_levels(p, base, d):
+    """A self-star irreducible h of degree d splits into star pairs over the
+    v_2(d) quadratic levels above its coefficients: the half split grows
+    those the tower lacks and no others, and w is pure with w w* = h up to
+    a constant.  At d = 2 the level grown is x^2 + h(0)."""
+    v = (d & -d).bit_length() - 1
+    for already in range(min(v, 1) + 1):
+        T = Tower(p)
+        for _ in range(base):
+            T.grow_quadratic()
+        h = _self_star_irreducible(T, d, base, random.Random(f"{p}/{base}/{d}"))
+        for _ in range(already):
+            T.grow_quadratic()
+        for missing in (v - already, 0):  # then every level is in place
+            top = T.num_levels()
+            w = _half_split(h)
+            assert T.num_levels() == top + missing
+            assert all(level.degree == 2 for level in T.levels)
+            assert is_pure(w)
+            assert (w * w.star()).exact_div(h).degree() == 0
+            if d == 2 and missing:
+                assert T.levels[-1].minpoly == (h.coeffs[0], T.zero, T.one)
 
 
 def test_solve_norm_equation_examples():

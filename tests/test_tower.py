@@ -55,6 +55,62 @@ def test_sqrt_random_roundtrip():
         assert r * r == a
 
 
+def _check_prime_field_sqrt(T, a):
+    """sqrt(a) for a nonzero residue a: r r = a, r is the smaller root by
+    key, and the tower grows exactly when a is a non-square mod p, by the
+    level x^2 - a, unless a level of even degree already holds the root."""
+    p = T.p
+    x = T.elem(a)
+    before = T.num_levels()
+    r = T.sqrt(x)
+    assert r * r == x
+    assert r.key() <= T.neg(r).key()
+    if pow(a, (p - 1) // 2, p) == 1:
+        assert T.num_levels() == before and r.level == 0
+    elif before == 0:
+        assert T.num_levels() == 1 and T.levels[0].minpoly == (T.neg(x), T.zero, T.one)
+        assert r == T.generator(1)
+    else:
+        assert T.num_levels() == before and r.level == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41])
+def test_sqrt_every_residue(p):
+    """Every nonzero residue mod p, each in a fresh tower.  17 and 41 are
+    1 mod 8, so Tonelli-Shanks runs its loop there."""
+    for a in range(1, p):
+        _check_prime_field_sqrt(Tower(p), a)
+
+
+def test_sqrt_sample_mod_65537():
+    """65537 = 2^16 + 1: a Tonelli-Shanks loop of up to 16 steps.  One
+    tower: the first non-square grows it, and later ones take their roots
+    from that level."""
+    T = Tower(65537)
+    rng = random.Random(3)
+    for a in [1, 2, 3, 65536] + [rng.randrange(1, 65537) for _ in range(200)]:
+        _check_prime_field_sqrt(T, a)
+    assert T.num_levels() == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sqrt_matches_find_roots(p):
+    """Twin towers, one taking square roots with sqrt and the other with
+    find_roots([-a, 0, 1])[0], give the same roots and the same levels,
+    for arguments at every level, extension levels included."""
+    T, twin = Tower(p), Tower(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        level = rng.randint(0, min(T.num_levels(), 3))
+        coords = [rng.randrange(p) for _ in range(T.coord_size(level))]
+        a, b = T.from_fp_coords(level, coords), twin.from_fp_coords(level, coords)
+        r = T.sqrt(a)
+        s = twin.find_roots([twin.neg(b), twin.zero, twin.one])[0]
+        assert str(r) == str(s) and r * r == a
+        assert T.describe_levels() == twin.describe_levels()
+    assert T.num_levels() >= 3
+
+
 def test_find_roots_examples():
     T7 = Tower(7)
     roots = T7.find_roots([T7.elem(-1), T7.zero, T7.one])
@@ -95,23 +151,24 @@ def test_find_roots_reproduces_polynomial():
 
 @pytest.mark.parametrize("p, text, levels, roots", [
     # three factors that each grow the tower, one of them repeated: the
-    # tower grows for the quadratic, then the quartic, then the cubic
+    # tower grows in factor order, for the quadratic, the cubic and then
+    # the quartic, whose roots are square roots of those of the quadratic
     (5, "(t^2+2)^2*(t^3+t+1)*(t^4+2)",
-     ["u1: u1^2+2 = 0", "u2: u2^2+u1 = 0", "u3: u3^3+u3+1 = 0"],
-     ["u1", "u1", "4*u1", "4*u1", "u2", "2*u2", "3*u2", "4*u2", "u3",
-      "4*u3^2+u3+1", "u3^2+3*u3+4"]),
-    # a multiplicity divisible by p: the quadratic comes after the others,
-    # and by then a level holds its roots
+     ["u1: u1^2+2 = 0", "u2: u2^3+u2+1 = 0", "u3: u3^2+u1 = 0"],
+     ["u1", "u1", "4*u1", "4*u1", "u2", "4*u2^2+u2+1", "u2^2+3*u2+4", "u3",
+      "2*u3", "3*u3", "4*u3"]),
+    # a multiplicity divisible by p changes nothing: the quadratic still
+    # comes first; over F_{3^6} the quartic splits into two quadratics, and
+    # the level that adjoins a root of one holds the roots of both
     (3, "(t^2+1)^3*(t^3+2*t+1)*(t^4+t+2)",
-     ["u1: u1^3+2*u1+1 = 0", "u2: u2^4+u2+2 = 0"],
-     ["u1", "u1+1", "u1+2", "u2^3", "u2", "u2^3+u2^2+u2", "u2^3+2*u2^2+u2",
-      "2*u2^3+2*u2^2+u2", "2*u2^3+2*u2^2+u2", "2*u2^3+2*u2^2+u2",
-      "u2^3+u2^2+2*u2", "u2^3+u2^2+2*u2", "u2^3+u2^2+2*u2"]),
+     ["u1: u1^2+1 = 0", "u2: u2^3+2*u2+1 = 0", "u3: u3^2+(2*u1)*u3+u1+1 = 0"],
+     ["u1", "u1", "u1", "2*u1", "2*u1", "2*u1", "u2", "u2+1", "u2+2", "u3",
+      "2*u3+u1", "(2*u1+1)*u3+2*u1+1", "(u1+2)*u3+2"]),
 ])
 def test_find_roots_growth_order(p, text, levels, roots):
-    """The order in which factors grow the tower names the levels; a
-    public method gives the same tower from the same calls, so these are
-    pinned."""
+    """find_roots grows the tower for the factors in factor_monic order,
+    and that order names the levels; a public method gives the same tower
+    from the same calls, so these are pinned."""
     T = Tower(p)
     f = parse_poly(text, T)
     assert [str(r) for r in T.find_roots(list(f.coeffs))] == roots
