@@ -12,9 +12,9 @@ Each entry is a sum of terms such as ``c*t^k`` joined by + and -, with an
 optional leading sign; a term is a product of factors joined by *, and a
 factor is t, an integer (reduced mod p), a generator uK or a parenthesized
 entry, each optionally raised to ^k.  Whitespace is ignored anywhere inside
-an entry.  The generators u1, u2, ... of the tower are each defined by a
-comment line ``# generator uK: <minimal polynomial in uK> = 0``, as
-certificates carry them.
+an entry.  The generators u1, u2, ... name the tower's levels, which are
+fixed for each p.  A comment line ``# generator uK: <minimal polynomial in
+uK> = 0``, as certificates carry them, must give level K.
 
 `main` builds its argument parser once per process and reuses it.
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 import time
@@ -64,27 +63,20 @@ _GENERATOR = re.compile(r"#\s*generator\s+u(\d+)\s*:\s*(.*?)\s*=\s*0$")
 
 
 def _read_generator(tower: Tower, k: int, text: str) -> None:
-    """Grow level k of ``tower`` from its minimal polynomial, written in uK
-    over the lower generators, or check it against the level k the tower
-    already has."""
+    """Check a generator line, the minimal polynomial of uK written in uK
+    over the lower generators, against the fixed level k of the tower,
+    growing the tower to k levels first."""
     if "t" in text:
         raise InputError(f"generator u{k}: write its minimal polynomial in u{k}")
+    while tower.num_levels() < k:
+        tower.grow()
     try:
-        mp = list(parse_poly(re.sub(rf"u{k}(?!\d)", "t", text), tower).coeffs)
-        if k <= tower.num_levels():
-            if tuple(mp) != tower.levels[k - 1].minpoly:
-                raise InputError(f"generator u{k} does not match level {k} of the tower")
-            return
-        # monic irreducible over the level of its coefficients, of degree
-        # prime to that level's degree under level k - 1
-        base = max((c.level for c in mp), default=0)
-        below = tower.coord_size(k - 1) // tower.coord_size(base)
-        if tower.factor_monic(mp) != [(mp, 1)] or math.gcd(len(mp) - 1, below) != 1:
-            raise InputError(f"generator u{k}: minimal polynomial is not monic "
-                             f"and irreducible over level {k - 1}")
-        tower.grow(mp)
+        mp = parse_poly(re.sub(rf"u{k}(?!\d)", "t", text), tower).coeffs
     except ValueError as exc:
         raise InputError(f"generator u{k}: {exc}") from exc
+    if tuple(mp) != tower.levels[k - 1].minpoly:
+        raise InputError(f"generator u{k}: {text} = 0 is not level {k} of the "
+                         f"tower, {tower.describe_levels()[k - 1]}")
 
 
 def parse_problem(text: str, tower: Optional[Tower] = None
@@ -93,8 +85,8 @@ def parse_problem(text: str, tower: Optional[Tower] = None
 
     Any additional matrix sections (S = ..., B = ...) land in extras.  The
     entries are parsed into `tower` when one is given, and the file's p must
-    be its prime; otherwise into a new Tower(p).  Generator lines grow the
-    levels the tower lacks and must match the levels it has.
+    be its prime; otherwise into a new Tower(p).  Generator lines must
+    match the tower's fixed levels, which are grown as far as they go.
     """
     fields = {}
     matrices = {}

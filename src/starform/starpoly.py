@@ -340,14 +340,10 @@ def _half_split(h: StarPoly) -> StarPoly:
     w w* = h up to a constant, the product of the member with the smaller
     key of each star pair {g, g*} of factors of h over the top level.
 
-    A factor g that is self-star, of degree 2e over the top level F_q, has
-    roots closed under a -> -a = a^(q^e), so g(0) is the norm of a root a
-    and g(0)^((q-1)/2) = a^((q^(2e)-1)/2) = (-1)^((q^e+1)/2): g(0) is a
-    non-square when q = 1 mod 4, and -1 is one when q = 3 mod 4.  The square
-    root of whichever of -g(0), g(0) is a non-square grows the top to
-    F_{q^2}, over which g splits into two factors of degree e.  So only the
-    quadratic levels that h needs and the tower lacks are grown, v_2(deg h)
-    over h's coefficients; at degree 2 the level is x^2 + h(0)."""
+    A factor g that is self-star and irreducible over the top level F_q,
+    of degree 2e, splits over F_{q^2}, the next fixed level, into two
+    factors of degree e.  So only the quadratic levels that h needs and the
+    tower lacks are grown, v_2(deg h) over h's coefficients."""
     T = h.tower
     if h.degree() % 2 != 0:
         raise ValueError("self-star irreducible factors have even degree")
@@ -356,8 +352,7 @@ def _half_split(h: StarPoly) -> StarPoly:
         roots, irred = T._factor_over_level(list(g.coeffs), T.num_levels())
         pieces = [StarPoly(T, f) for f in [[T.neg(r), T.one] for r in roots] + irred]
         if pieces == [g]:  # self-star and irreducible over the top level
-            c, q = g.coeffs[0], T.field_order(T.num_levels())
-            T.sqrt(c if T.pow(T.neg(c), (q - 1) // 2).is_one() else T.neg(c))
+            T.grow()
             return half(g)
         w = StarPoly.one(T)
         for f in pieces:

@@ -8,13 +8,18 @@ higher one.
 
 Elements are immutable values.  Operations that may *grow* the tower
 mutate the Tower and need exclusive access to it; everything else is safe to
-run concurrently on a frozen snapshot.  The library grows it only through
-``sqrt``, by one quadratic level x^2 - a for a non-square a: the half
-splits of ``starpoly`` and ``grow_quadratic`` (so ``enumerate_scalars``)
-call it.  ``sqrt`` decides by Euler's criterion at a's level, and at level 0
-takes the root by Tonelli-Shanks on ints.  ``find_roots`` and ``grow`` add
-levels of any degree, for callers of the public API and for the CLI's
-``parse_problem``, which rebuilds a certificate's levels.
+run concurrently on a frozen snapshot.
+
+Every level is quadratic, and level k depends only on p and k: it is
+x^2 - c_k, with c_1 = n0 the least non-square of F_p, c_k = u_(k-1) when
+p = 1 mod 4 or k >= 3, and, for p = 3 mod 4, c_2 the first non-square of
+F_{p^2} in ``_elem_of_index`` order from index p (``_nonsquare``).  So
+towers that reach level k agree on it whatever grew them, and congruent
+forms print the same text.  ``grow`` appends the next fixed level.
+``sqrt`` decides by Euler's criterion at a's level b: a square takes its
+root by Tonelli-Shanks with the non-square c_(b+1), and a non-square a the
+root sqrt(a / c_(b+1)) u_(b+1), which grows level b + 1 when b is the top.
+``find_roots`` grows the levels that its factors of degree 2^j need.
 
 The Tower also owns the one polynomial kernel of the package: the
 ``poly_*`` methods add, multiply, divide, take gcds and modular powers of
@@ -279,6 +284,9 @@ class Tower:
         self._fp_cache = [FieldElem(self, 0, n) for n in range(p)]
         self.zero = self._fp_cache[0]
         self.one = self._fp_cache[1]
+        # c_1, the least non-square of F_p, and c_2 once _nonsquare finds it
+        self._c = [self._fp_cache[next(n for n in range(2, p)
+                                       if pow(n, (p - 1) // 2, p) == p - 1)]]
         self._flats: List = [None]
         self._coord_sizes: List[int] = [1]
         self._elem_cache: List[dict] = [{}]
@@ -292,7 +300,9 @@ class Tower:
         """The adjoined root that defines ``level`` (level >= 1)."""
         if not 1 <= level <= len(self.levels):
             raise ValueError(f"no generator for level {level}")
-        return self._canon(level, [self.zero, self.one])
+        coords = [0] * self.coord_size(level)
+        coords[self.coord_size(level - 1)] = 1
+        return self._elem_from_flat(level, coords)
 
     def num_levels(self) -> int:
         return len(self.levels)
@@ -850,76 +860,58 @@ class Tower:
 
     # ---------------- tower growth ----------------
 
-    def grow(self, minpoly: Sequence[FieldElem]) -> FieldElem:
-        """Append a level with the given monic minimal polynomial; return its root."""
-        mp = self.poly_monic(self.poly_trim(list(minpoly)))
-        if len(mp) < 3:
-            raise ValueError("minimal polynomial must have degree >= 2")
-        top = len(self.levels)
-        for c in mp:
-            if c.level > top:
-                raise ValueError("minimal polynomial coefficients exceed tower top")
-        name = f"u{len(self.levels) + 1}"
-        self.levels.append(Level(name, tuple(mp)))
+    def _nonsquare(self, level: int) -> FieldElem:
+        """c_(level+1), the fixed non-square of ``level`` (which the tower
+        has) whose square root is u_(level+1).  u_(k-1) is a non-square at
+        level k-1: its norm to level k-2 is -c_(k-1), a non-square when -1
+        is a square there, which holds when p = 1 mod 4 and at every level
+        from 1 on.  When p = 3 mod 4, u_1 is a square, so c_2 is found by
+        a scan past the p elements of F_p."""
+        if level > 1 or (level == 1 and self.p % 4 == 1):
+            return self.generator(level)
+        if len(self._c) == level:
+            half = (self.field_order(1) - 1) // 2
+            idx = self.p
+            while self.pow(self._elem_of_index(1, idx), half).is_one():
+                idx += 1
+            self._c.append(self._elem_of_index(1, idx))
+        return self._c[level]
+
+    def grow(self) -> FieldElem:
+        """Append the next fixed level x^2 - c_k; return its generator."""
+        c = self._nonsquare(len(self.levels))
+        self.levels.append(Level(f"u{len(self.levels) + 1}",
+                                 (self.neg(c), self.zero, self.one)))
         return self.generator(len(self.levels))
 
-    def _find_nonsquare(self, level: int) -> FieldElem:
-        """Deterministically the first non-square at ``level`` (field order)."""
-        q = self.field_order(level)
-        idx = 2
-        while True:
-            c = self._elem_of_index(level, idx)
-            if not c.is_zero() and not self.pow(c, (q - 1) // 2).is_one():
-                return c
-            idx += 1
-
     def grow_quadratic(self) -> FieldElem:
-        """Grow the tower by the smallest pure quadratic x^2 - c, c a non-square."""
-        return self.sqrt(self._find_nonsquare(len(self.levels)))
+        """``grow()``; bench/layers.py counts calls under this name."""
+        return self.grow()
 
     # ---------------- root finding ----------------
 
     def find_roots(self, coeffs: Sequence[FieldElem]) -> List[FieldElem]:
-        """All roots of the polynomial with multiplicity, sorted by key,
-        growing the tower as needed so the polynomial splits completely:
-        the irreducible factors are taken in ``factor_monic`` order, and each
-        takes its roots from the smallest existing level that holds them or
-        else grows one level.  Deterministic given the tower seed."""
+        """All roots of the polynomial with multiplicity, sorted by key.
+        An irreducible factor of degree 2^j over level b splits in level
+        b + j, which is grown if missing; a factor of any other degree
+        raises ValueError, as the tower holds only quadratic levels."""
         f = self.poly_trim(list(coeffs))
         if not f:
             raise ValueError("zero polynomial has no well-defined roots")
         roots: List[FieldElem] = []
         for h, m in self.factor_monic(f):
-            if len(h) == 2:  # its root is in the tower: it never grows it
+            d = len(h) - 1
+            if d & (d - 1):
+                raise ValueError(f"an irreducible factor of degree {d} has no "
+                                 "roots in a tower of quadratic levels")
+            if d == 1:
                 roots.extend([self.neg(h[0])] * m)
-            else:
-                roots.extend(self._roots_of_irreducible(h) * m)
+                continue
+            level = max(c.level for c in h) + d.bit_length() - 1
+            while len(self.levels) < level:
+                self.grow()
+            roots.extend(self._roots_in_level(h, level) * m)
         roots.sort(key=FieldElem.key)
-        return roots
-
-    def _roots_of_irreducible(self, h) -> List[FieldElem]:
-        """The roots of h, monic and irreducible of degree >= 2 over the
-        level of its coefficients: from the smallest existing level that
-        holds them, or else from one new level."""
-        d = len(h) - 1
-        base = max(c.level for c in h)
-        # they lie in every level whose field contains F_{q_base^d}
-        unit = self.coord_size(base) * d
-        for lv in range(base + 1, len(self.levels) + 1):
-            if self.coord_size(lv) % unit == 0:
-                roots = self._roots_in_level(h, lv)
-                if len(roots) != d:
-                    raise AssertionError(f"{len(roots)} roots of a degree-{d} "
-                                         f"irreducible in level {lv}")
-                return roots
-        # over the top level h breaks into factors of one degree, and the
-        # level that adjoins a root of one of them holds the roots of all
-        top = len(self.levels)
-        pieces = [h] if base == top else sorted(
-            self._factor_over_level(h, top)[1], key=_poly_key)
-        roots = self._grow_with_orbit(pieces[0])
-        for piece in pieces[1:]:
-            roots.extend(self._roots_of_irreducible(piece))
         return roots
 
     def _pderiv(self, f):
@@ -933,18 +925,6 @@ class Tower:
         if q == self.p:
             return c
         return self.pow(c, q // self.p)
-
-    def _grow_with_orbit(self, minpoly) -> List[FieldElem]:
-        """Adjoin a root of an irreducible-over-top polynomial; its full root
-        set is the Frobenius orbit of the new generator."""
-        q_prev = self.field_order(len(self.levels))
-        gen = self.grow(minpoly)
-        out = []
-        r = gen
-        for _ in range(len(minpoly) - 1):
-            out.append(r)
-            r = self.pow(r, q_prev)
-        return out
 
     def _roots_in_level(self, h, level: int) -> List[FieldElem]:
         """All roots of h inside the given existing level (h splits there)."""
@@ -1075,41 +1055,38 @@ class Tower:
 
     def sqrt(self, a: FieldElem) -> FieldElem:
         """The smaller square root of ``a`` by key.  Euler's criterion at
-        a's level decides where it lies: in that level when a is a square
-        there (by Tonelli-Shanks at level 0), else in the smallest existing
-        level of even degree over it, else in a new level x^2 - a, whose
-        generator is the root returned.  The only growth of the tower this
-        makes is by that quadratic level."""
+        a's level b decides where it lies.  A square takes its root in
+        level b by Tonelli-Shanks.  For a non-square, a / c_(b+1) is a
+        square in level b, so the root is sqrt(a / c_(b+1)) u_(b+1); this
+        grows level b + 1 when b is the top, the only growth sqrt makes."""
         if a.is_zero():
             return self.zero
-        base = a.level
-        x2_minus_a = [self.neg(a), self.zero, self.one]
-        if self.pow(a, (self.field_order(base) - 1) // 2).is_one():
-            if base == 0:
-                r = self._fp_sqrt(a.rep)
-                return self._fp_cache[min(r, self.p - r)]
-            level = base
+        b = a.level
+        q = self.field_order(b)
+        c = self._nonsquare(b)
+        if self.pow(a, (q - 1) // 2).is_one():
+            r = self._tonelli_shanks(a, c, q)
         else:
-            even = 2 * self.coord_size(base)
-            level = next((lv for lv in range(base + 1, len(self.levels) + 1)
-                          if self.coord_size(lv) % even == 0), None)
-            if level is None:
-                return self.grow(x2_minus_a)
-        return min(self._roots_in_level(x2_minus_a, level), key=FieldElem.key)
+            if b == len(self.levels):
+                self.grow()
+            r = self.mul(self.sqrt(self.div(a, c)), self.generator(b + 1))
+        neg = self.neg(r)
+        return r if r.key() <= neg.key() else neg
 
-    def _fp_sqrt(self, a: int) -> int:
-        """A square root mod p of a nonzero square a, by Tonelli-Shanks."""
-        p = self.p
-        s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = odd * 2^s
-        odd = (p - 1) >> s
-        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-        c, t, r = pow(z, odd, p), pow(a, odd, p), pow(a, (odd + 1) // 2, p)
-        while t != 1:  # r^2 = a t, t^(2^(s-1)) = 1 and c has order 2^s
-            i, t2 = 1, t * t % p
-            while t2 != 1:
-                i, t2 = i + 1, t2 * t2 % p
-            b = pow(c, 1 << (s - i - 1), p)
-            s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    def _tonelli_shanks(self, a: FieldElem, z: FieldElem, q: int) -> FieldElem:
+        """A square root of the nonzero square a in the field of order q,
+        by Tonelli-Shanks with the non-square z of that field."""
+        mul, pow_ = self.mul, self.pow
+        s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = odd * 2^s
+        odd = (q - 1) >> s
+        c, t, r = pow_(z, odd), pow_(a, odd), pow_(a, (odd + 1) // 2)
+        while not t.is_one():  # r^2 = a t, t^(2^(s-1)) = 1, c of order 2^s
+            i, t2 = 1, mul(t, t)
+            while not t2.is_one():
+                i, t2 = i + 1, mul(t2, t2)
+            b = pow_(c, 1 << (s - i - 1))
+            s, c = i, mul(b, b)
+            t, r = mul(t, c), mul(r, b)
         return r
 
     # ---------------- scalar enumeration ----------------
@@ -1124,7 +1101,7 @@ class Tower:
         level = 1
         while True:
             if len(self.levels) < level:
-                self.grow_quadratic()
+                self.grow()
             for idx in range(self.field_order(level - 1), self.field_order(level)):
                 yield self._elem_of_index(level, idx)
             level += 1

@@ -397,17 +397,18 @@ def _dense_form(p, n, eps, seed):
 
 
 @pytest.mark.parametrize("p, n, seed, levels, last", [
-    # F_{3^8}; F_{3^24} while half splits grew levels of degree 4 and 3
-    pytest.param(3, 3, 23, ["u1: u1^2+1 = 0", "u2: u2^2+u1+2 = 0",
-                            "u3: u3^2+(u1)*u2 = 0"],
+    # F_{3^8}, the fixed levels of p = 3; F_{3^24} while half splits grew
+    # levels of degree 4 and 3
+    pytest.param(3, 3, 23, ["u1: u1^2+1 = 0", "u2: u2^2+2*u1+2 = 0",
+                            "u3: u3^2+2*u2 = 0"],
                  "t^6+t^4-t^2+1", id="3-23-levels0-t^6+t^4-t^2+1"),
     # F_{5^2}; F_{5^12} before compress_form reached deg det
     pytest.param(5, 3, 20, ["u1: u1^2+3 = 0"], "t^4+t^2+1",
                  id="5-20-levels1-t^4+t^2+1"),
     # F_{3^8}, as when a half split grew a level of degree 4; never
     # finished before compress_form reached deg det
-    (3, 5, 3, ["u1: u1^2+1 = 0", "u2: u2^2+u1+1 = 0",
-               "u3: u3^2+(u1+1)*u2+u1+1 = 0"],
+    (3, 5, 3, ["u1: u1^2+1 = 0", "u2: u2^2+2*u1+2 = 0",
+               "u3: u3^2+2*u2 = 0"],
      "t^10-t^8-t^6+t^4"),
 ])
 def test_dense_regressions_in_deep_towers(p, n, seed, levels, last):
@@ -430,6 +431,50 @@ def test_dense_regressions_in_deep_towers(p, n, seed, levels, last):
     assert all(T.level_degree(k) == 2 for k in range(1, T.num_levels() + 1))
     assert T.describe_levels() == levels
     assert cb.serialize(T).splitlines()[-3:] == ["1x1: 1", "1x1: 1", f"1x1: {last}"]
+
+
+# ---------------- one text per class ----------------
+
+# two hermitian forms over F_5 with the invariant factors (1, t, t^3+2t),
+# whose blocks lie over level 1; entries are coefficient lists, constant
+# term first
+_F5_PAIR = ([[[2, 0, 0], [3, 2], [4, 2]], [[3, 3], [2, 0, 4], [1, 2]],
+             [[4, 3], [1, 3], [3, 0, 4]]],
+            [[[4, 0, 3], [1, 3], [4, 3]], [[1, 2], [4, 0, 0], [1, 0]],
+             [[4, 2], [1, 0], [4, 0, 2]]])
+
+
+def _canonical_text(T, rows, eps=HERMITIAN):
+    A = PolyMatrix(T, [[StarPoly.from_ints(T, c) for c in row] for row in rows])
+    return canonicalize(A, eps)[1].serialize(T)
+
+
+def test_congruent_pair_prints_one_text_in_any_tower():
+    """The F_5 pair prints one canonical text, with an extension generator,
+    in two fresh towers and in one shared tower in either order."""
+    fresh = [_canonical_text(Tower(5), rows) for rows in _F5_PAIR]
+    assert fresh[0] == fresh[1] and "generator u1: u1^2+3 = 0" in fresh[0]
+    for order in (_F5_PAIR, _F5_PAIR[::-1]):
+        T = Tower(5)
+        assert [_canonical_text(T, rows) for rows in order] == fresh
+
+
+def test_one_text_per_class_on_all_small_hermitian_forms():
+    """Every 2x2 hermitian form over F_3 with entries of degree <= 2, each
+    in a fresh tower: the invariant factors are a complete invariant, so
+    forms that share them print one canonical text."""
+    texts = {}
+    evens = [[a, 0, b] for a in range(3) for b in range(3)]
+    for d1, d2 in itertools.product(evens, repeat=2):
+        for off in itertools.product(range(3), repeat=3):
+            T = Tower(3)
+            a = StarPoly.from_ints(T, list(off))
+            A = PolyMatrix(T, [[StarPoly.from_ints(T, d1), a],
+                               [a.star(), StarPoly.from_ints(T, d2)]])
+            key = tuple(str(f) for f in invariant_factors(A))
+            texts.setdefault(key, set()).add(canonicalize(A, HERMITIAN)[1].serialize(T))
+    assert sum(1 for key in texts if "0" not in key) == 19
+    assert all(len(found) == 1 for found in texts.values())
 
 
 # ---------------- serialization ----------------

@@ -67,12 +67,12 @@ def test_parse_problem_errors():
 
 
 def test_parse_problem_generator_lines():
-    """Generator lines grow the levels a tower lacks and must match the
-    levels it has; a level out of order, a reducible minimal polynomial or a
-    mismatch is an input error."""
-    text = "p = 5\n# generator u1: u1^2+3 = 0\n# generator u2: u2^2+u1 = 0\nA = [ [ u2 ] ]\n"
+    """Generator lines must give the tower's fixed levels, which parsing
+    grows as far as the lines go; a level out of order, another minimal
+    polynomial, reducible or not, or a line in t is an input error."""
+    text = "p = 5\n# generator u1: u1^2+3 = 0\n# generator u2: u2^2+4*u1 = 0\nA = [ [ u2 ] ]\n"
     tower, _, A, _ = parse_problem(text)
-    assert tower.describe_levels() == ["u1: u1^2+3 = 0", "u2: u2^2+u1 = 0"]
+    assert tower.describe_levels() == ["u1: u1^2+3 = 0", "u2: u2^2+4*u1 = 0"]
     assert A.entries[0][0].coeff(0) == tower.generator(2)
     assert parse_problem(text, tower)[0] is tower and tower.num_levels() == 2
     for bad in ("# generator u2: u2^2+3 = 0\n",              # out of order
@@ -82,7 +82,7 @@ def test_parse_problem_generator_lines():
                 "# generator u1: t^2+3 = 0\n"):
         with pytest.raises(InputError):
             parse_problem(f"p = 5\n{bad}A = [ [ 1 ] ]\n")
-    with pytest.raises(InputError):  # not the tower's level 1
+    with pytest.raises(InputError, match="is not level 1 of the tower, u1: u1\\^2\\+3 = 0"):
         parse_problem("p = 5\n# generator u1: u1^2+2 = 0\nA = [ [ 1 ] ]\n", tower)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starform.tower import Tower
+from starform.tower import Level, Tower
 from starform.starpoly import (EVEN, MIXED, ODD, ZERO, StarPoly, _half_split,
                                canonical_pure_factor, coprime_even_bezout,
                                even_bezout, format_poly, gcd, gcd_bezout,
@@ -72,6 +72,12 @@ def _school_add(T, f, g):
     return _school_trim(out)
 
 
+def _append_level(T, minpoly):
+    """Append a level that the library never builds, with the given monic
+    irreducible minimal polynomial: the kernel runs on any level."""
+    T.levels.append(Level(f"u{T.num_levels() + 1}", tuple(minpoly)))
+
+
 def _kernel_towers():
     """(tower, level): F_5 (int arithmetic), then packed flat products over
     F_81, a small two-level case, over the three-level F_{5^8}, and over
@@ -82,24 +88,24 @@ def _kernel_towers():
     products of large coordinates large."""
     prime = Tower(5)
     small = Tower(3)
-    small.grow_quadratic()
-    small.grow_quadratic()
+    small.grow()
+    small.grow()
     flat = Tower(5)
     for _ in range(3):
-        flat.grow_quadratic()
+        flat.grow()
     deep = Tower(3)
     # x^4 + x^2 + 2, then x^2 + u1^3 + 2 u1, then x^3 + (2 u1^2 + 1) x^2 +
-    # 2 u1^2 + 1: the tower that dense_matrix((3, 3, +1), 23) grows; tuples
-    # are F_3 coordinates over the basis 1, u1, u1^2, u1^3
+    # 2 u1^2 + 1, levels that the library never builds; tuples are F_3
+    # coordinates over the basis 1, u1, u1^2, u1^3
     for minpoly in ([2, 0, 1, 0, 1], [(0, 2, 0, 1), 0, 1],
                     [(1, 0, 2, 0), 0, (1, 0, 2, 0), 1]):
-        deep.grow([deep.from_fp_coords(1, c) if isinstance(c, tuple) else deep.elem(c)
-                   for c in minpoly])
+        _append_level(deep, [deep.from_fp_coords(1, c) if isinstance(c, tuple)
+                             else deep.elem(c) for c in minpoly])
     assert deep.coord_size(3) == 24
     towers = [(prime, 0), (small, 2), (flat, 3), (deep, 3)]
     for p in (163, 8191):
         T = Tower(p)
-        T.grow([T.one, T.zero, T.one])
+        _append_level(T, [T.one, T.zero, T.one])
         assert T._flat(1).max_pairs >= 255
         towers.append((T, 1))
     return towers
@@ -406,15 +412,15 @@ def test_half_split_grows_quadratic_levels(p, base, d):
     """A self-star irreducible h of degree d splits into star pairs over the
     v_2(d) quadratic levels above its coefficients: the half split grows
     those the tower lacks and no others, and w is pure with w w* = h up to
-    a constant.  At d = 2 the level grown is x^2 + h(0)."""
+    a constant.  The levels are the fixed ones of p."""
     v = (d & -d).bit_length() - 1
     for already in range(min(v, 1) + 1):
         T = Tower(p)
         for _ in range(base):
-            T.grow_quadratic()
+            T.grow()
         h = _self_star_irreducible(T, d, base, random.Random(f"{p}/{base}/{d}"))
         for _ in range(already):
-            T.grow_quadratic()
+            T.grow()
         for missing in (v - already, 0):  # then every level is in place
             top = T.num_levels()
             w = _half_split(h)
@@ -422,8 +428,10 @@ def test_half_split_grows_quadratic_levels(p, base, d):
             assert all(level.degree == 2 for level in T.levels)
             assert is_pure(w)
             assert (w * w.star()).exact_div(h).degree() == 0
-            if d == 2 and missing:
-                assert T.levels[-1].minpoly == (h.coeffs[0], T.zero, T.one)
+            fixed = Tower(p)
+            for _ in range(T.num_levels()):
+                fixed.grow()
+            assert T.describe_levels() == fixed.describe_levels()
 
 
 def test_solve_norm_equation_examples():

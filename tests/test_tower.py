@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from starform.starpoly import parse_poly
-from starform.tower import Tower
+from starform.tower import Level, Tower
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -57,8 +57,8 @@ def test_sqrt_random_roundtrip():
 
 def _check_prime_field_sqrt(T, a):
     """sqrt(a) for a nonzero residue a: r r = a, r is the smaller root by
-    key, and the tower grows exactly when a is a non-square mod p, by the
-    level x^2 - a, unless a level of even degree already holds the root."""
+    key, and the tower grows exactly when a is a non-square mod p and has
+    no level yet, by the fixed level x^2 - n0, n0 the least non-square."""
     p = T.p
     x = T.elem(a)
     before = T.num_levels()
@@ -67,11 +67,10 @@ def _check_prime_field_sqrt(T, a):
     assert r.key() <= T.neg(r).key()
     if pow(a, (p - 1) // 2, p) == 1:
         assert T.num_levels() == before and r.level == 0
-    elif before == 0:
-        assert T.num_levels() == 1 and T.levels[0].minpoly == (T.neg(x), T.zero, T.one)
-        assert r == T.generator(1)
     else:
-        assert T.num_levels() == before and r.level == 1
+        n0 = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        assert T.num_levels() == max(before, 1) and r.level == 1
+        assert T.levels[0].minpoly == (T.elem(-n0), T.zero, T.one)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41])
@@ -111,6 +110,29 @@ def test_sqrt_matches_find_roots(p):
     assert T.num_levels() >= 3
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_fixed_levels(p):
+    """Level k is x^2 - c_k with c_k a non-square at level k - 1 by
+    Euler's criterion.  A tower grown by square roots of non-squares, at
+    any level and in any order, has the levels of one grown by grow()."""
+    fixed = Tower(p)
+    for k in range(1, 4):
+        fixed.grow()
+        minpoly = fixed.levels[k - 1].minpoly
+        assert minpoly[1:] == (fixed.zero, fixed.one)
+        c = fixed.neg(minpoly[0])
+        q = fixed.field_order(k - 1)
+        assert c.level == k - 1 and fixed.pow(c, (q - 1) // 2) == fixed.elem(-1)
+    rng = random.Random(p)
+    for _ in range(3):
+        T = Tower(p)
+        while T.num_levels() < 3:
+            a = T.random_element(rng.randint(0, T.num_levels()), rng)
+            r = T.sqrt(a)
+            assert r * r == a
+            assert T.describe_levels() == fixed.describe_levels()[:T.num_levels()]
+
+
 def test_find_roots_examples():
     T7 = Tower(7)
     roots = T7.find_roots([T7.elem(-1), T7.zero, T7.one])
@@ -140,6 +162,10 @@ def test_find_roots_reproduces_polynomial():
         deg = rng.randint(1, 6)
         coeffs = [T.elem(rng.randrange(T.p)) for _ in range(deg)]
         coeffs.append(T.elem(rng.randrange(1, T.p)))
+        if any((len(h) - 1) & (len(h) - 2) for h, _ in T.factor_monic(coeffs)):
+            with pytest.raises(ValueError):  # no roots in quadratic levels
+                T.find_roots(list(coeffs))
+            continue
         roots = T.find_roots(list(coeffs))
         assert len(roots) == deg
         # multiply the linear factors back together
@@ -149,44 +175,35 @@ def test_find_roots_reproduces_polynomial():
         assert prod == T.poly_trim(list(coeffs))
 
 
-@pytest.mark.parametrize("p, text, levels, roots", [
-    # three factors that each grow the tower, one of them repeated: the
-    # tower grows in factor order, for the quadratic, the cubic and then
-    # the quartic, whose roots are square roots of those of the quadratic
-    (5, "(t^2+2)^2*(t^3+t+1)*(t^4+2)",
-     ["u1: u1^2+2 = 0", "u2: u2^3+u2+1 = 0", "u3: u3^2+u1 = 0"],
-     ["u1", "u1", "4*u1", "4*u1", "u2", "4*u2^2+u2+1", "u2^2+3*u2+4", "u3",
-      "2*u3", "3*u3", "4*u3"]),
-    # a multiplicity divisible by p changes nothing: the quadratic still
-    # comes first; over F_{3^6} the quartic splits into two quadratics, and
-    # the level that adjoins a root of one holds the roots of both
-    (3, "(t^2+1)^3*(t^3+2*t+1)*(t^4+t+2)",
-     ["u1: u1^2+1 = 0", "u2: u2^3+2*u2+1 = 0", "u3: u3^2+(2*u1)*u3+u1+1 = 0"],
-     ["u1", "u1", "u1", "2*u1", "2*u1", "2*u1", "u2", "u2+1", "u2+2", "u3",
-      "2*u3+u1", "(2*u1+1)*u3+2*u1+1", "(u1+2)*u3+2"]),
-])
-def test_find_roots_growth_order(p, text, levels, roots):
-    """find_roots grows the tower for the factors in factor_monic order,
-    and that order names the levels; a public method gives the same tower
-    from the same calls, so these are pinned."""
-    T = Tower(p)
-    f = parse_poly(text, T)
-    assert [str(r) for r in T.find_roots(list(f.coeffs))] == roots
-    assert T.describe_levels() == levels
+def test_find_roots_grows_fixed_levels():
+    """A factor of degree 2^j over level b takes its roots from level
+    b + j, grown as the fixed levels; a factor of another degree is a
+    ValueError."""
+    T = Tower(5)
+    f = parse_poly("(t^2+2)^2*(t^4+2)*(t-1)", T)
+    roots = T.find_roots(list(f.coeffs))
+    assert len(roots) == 9 and roots == sorted(roots, key=lambda r: r.key())
+    assert all(T._peval(list(f.coeffs), r).is_zero() for r in roots)
+    fixed = Tower(5)
+    for _ in range(2):
+        fixed.grow()
+    assert T.describe_levels() == fixed.describe_levels()
+    with pytest.raises(ValueError):
+        T.find_roots(list(parse_poly("t^3+t+1", T).coeffs))
 
 
 def test_minimal_polynomials_stay_irreducible():
-    # re-factor every level's minimal polynomial over the field below it
-    T = Tower(3)
-    T.find_roots([T.one, T.elem(2), T.zero, T.one])
-    T.sqrt(T.generator(1) + 1) if T.num_levels() else None
-    for k, level in enumerate(T.levels):
-        for c in level.minpoly:
-            assert c.level <= k
-        # a root of the minpoly cannot exist at or below level k
-        roots_below = [x for x in _all_elements(T, k)
-                       if T._peval(list(level.minpoly), x).is_zero()]
-        assert not roots_below
+    # no element at or below level k is a root of level k+1's minpoly
+    for p in (3, 5, 7):
+        T = Tower(p)
+        for _ in range(3):
+            T.grow()
+        for k, level in enumerate(T.levels):
+            for c in level.minpoly:
+                assert c.level <= k
+            roots_below = [x for x in _all_elements(T, k)
+                           if T._peval(list(level.minpoly), x).is_zero()]
+            assert not roots_below
 
 
 def _all_elements(T, level):
@@ -257,19 +274,26 @@ def test_field_axioms_mixed_levels():
             assert x * T.inv(x) == T.one
 
 
+def _append_level(T, minpoly):
+    """Append a level that the library never builds, with the given monic
+    irreducible minimal polynomial: the arithmetic runs on any level."""
+    T.levels.append(Level(f"u{T.num_levels() + 1}", tuple(minpoly)))
+
+
 def _tower_with_binomial_level(p, d):
-    """Tower(p) grown by t^d - c, c the largest residue that is not a d-th
-    power (d prime, p = 1 mod d), so basis products have large coordinates."""
+    """Tower(p) with the level t^d - c, c the largest residue that is not a
+    d-th power (d prime, p = 1 mod d), so basis products have large
+    coordinates."""
     T = Tower(p)
     c = next(c for c in range(p - 1, 1, -1) if pow(c, (p - 1) // d, p) != 1)
-    T.grow([T.elem(-c)] + [T.zero] * (d - 1) + [T.one])
+    _append_level(T, [T.elem(-c)] + [T.zero] * (d - 1) + [T.one])
     return T
 
 
 def _quadratic_tower(p, levels):
     T = Tower(p)
     for _ in range(levels):
-        T.grow_quadratic()
+        T.grow()
     return T
 
 
@@ -325,7 +349,7 @@ def test_large_prime_builds_no_product_table():
     # Its packed slots still hold hundreds of products.
     code = ("from starform.tower import Tower\n"
             "T = Tower(65537)\n"
-            "x = T.grow_quadratic() + T.elem(65000)\n"
+            "x = T.grow() + T.elem(65000)\n"
             "assert T._flat(1).max_pairs >= 255\n"
             "assert T.mul(x, x) == T._mul_slow(x, x)\n"
             "assert T.mul(x, T.inv(x)) == T.one\n")
@@ -342,8 +366,8 @@ def test_embedding_stability_across_growth():
     b = a + T.one
     before = (a * b, a + b, T.inv(b))
     # unrelated growth
-    T.grow_quadratic()
-    T.find_roots([T.one, T.zero, T.zero, T.one, T.one])
+    T.grow()
+    T.sqrt(T.generator(2))
     after = (a * b, a + b, T.inv(b))
     assert before == after
 
