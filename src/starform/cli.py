@@ -14,7 +14,8 @@ factor is t, an integer (reduced mod p), a generator uK or a parenthesized
 entry, each optionally raised to ^k.  Whitespace is ignored anywhere inside
 an entry.  The generators u1, u2, ... name the tower's levels, which are
 fixed for each p.  A comment line ``# generator uK: <minimal polynomial in
-uK> = 0``, as certificates carry them, must give level K.
+uK> = 0``, as certificates carry them, must give level K, and K is at most
+``MAX_LEVELS``.
 
 `main` builds its argument parser once per process and reuses it.
 
@@ -61,6 +62,12 @@ def _strip_comment(line: str) -> str:
 # a tower level as format_problem writes it, from Tower.describe_levels
 _GENERATOR = re.compile(r"#\s*generator\s+u(\d+)\s*:\s*(.*?)\s*=\s*0$")
 
+# The deepest level a problem file may name.  The first use of level k
+# builds a product table of 2^(3k) entries: about 1 s at level 7, then 8x
+# the time and memory per level.  The deepest tower a measured input
+# reaches has 5 levels.
+MAX_LEVELS = 7
+
 
 def _read_generator(tower: Tower, k: int, text: str) -> None:
     """Check a generator line, the minimal polynomial of uK written in uK
@@ -68,6 +75,9 @@ def _read_generator(tower: Tower, k: int, text: str) -> None:
     growing the tower to k levels first."""
     if "t" in text:
         raise InputError(f"generator u{k}: write its minimal polynomial in u{k}")
+    if k > MAX_LEVELS:
+        raise InputError(f"generator u{k}: a problem file may name at most "
+                         f"{MAX_LEVELS} tower levels")
     while tower.num_levels() < k:
         tower.grow()
     try:

@@ -1,10 +1,10 @@
 """Exact arithmetic in the algebraic closure of F_p, p an odd prime.
 
 The closure is realized as a growing tower F_p = L0 < L1 < L2 < ... where
-each level adjoins a root of a monic polynomial irreducible over the level
-below.  Levels are append-only: growing the tower never invalidates existing
-elements, and arithmetic between elements of different levels lifts to the
-higher one.
+level k adjoins u_k, a root of x^2 - c_k for a fixed non-square c_k of the
+level below, so it has F_p-dimension 2^k.  Levels are append-only: growing
+the tower never invalidates existing elements, and arithmetic between
+elements of different levels lifts to the higher one.
 
 Elements are immutable values.  Operations that may *grow* the tower
 mutate the Tower and need exclusive access to it; everything else is safe to
@@ -53,10 +53,11 @@ loops of ``polymat`` (Smith form, determinant) find the level of a matrix
 once and, at level 0, call these int bodies directly for the whole loop;
 above level 0 they run on element lists through the per-call dispatch.
 
-An extension-level inverse solves a linear system mod p once per element
-and is kept on it (``FieldElem._inv``); canonical elements are shared per
-level, so a divisor's leading coefficient is inverted once, not at every
-division.
+An extension-level inverse is taken by the norm,
+(a0 + a1 u)^-1 = (a0 - a1 u) / (a0^2 - c a1^2), with one inverse one level
+down, and is kept on the element (``FieldElem._inv``); canonical elements
+are shared per level, so a divisor's leading coefficient is inverted once,
+not at every division.
 
 p must be an odd prime below 2^24, since the element caches key each
 element by its F_p coordinates packed into 24-bit slots.
@@ -82,23 +83,25 @@ def _is_prime(n: int) -> bool:
 
 
 class Level:
-    """One extension step: a root of ``minpoly`` (monic, over the level below)."""
+    """One extension step: a root of x^2 - c, c a non-square of the level
+    below; ``minpoly`` is (-c, 0, 1), coefficients lowest first."""
 
-    __slots__ = ("name", "minpoly", "degree")
+    __slots__ = ("name", "c", "minpoly")
 
-    def __init__(self, name: str, minpoly: Tuple["FieldElem", ...]):
+    def __init__(self, name: str, c: "FieldElem"):
         self.name = name
-        self.minpoly = minpoly
-        self.degree = len(minpoly) - 1
+        self.c = c
+        self.minpoly = (-c, c.tower.zero, c.tower.one)
 
 
 class FieldElem:
     """Element of the tower.
 
-    ``level == 0``: ``rep`` is an int in [0, p).  ``level >= 1``: ``rep`` is a
-    tuple of canonical FieldElems of strictly lower level, length >= 2, last
-    entry nonzero (coefficients over the level below).  Canonical form is
-    unique, so equality and hashing are structural.
+    ``level == 0``: ``rep`` is an int in [0, p).  ``level >= 1``: ``rep`` is
+    the pair (a0, a1) of canonical FieldElems of lower level, a1 nonzero,
+    for the element a0 + a1 u_level.  Canonical form is unique, so equality
+    and hashing are structural.  Every extension element is built by
+    ``Tower._elem_from_flat``, which sets its key.
     """
 
     __slots__ = ("tower", "level", "rep", "_key", "_terms", "_inv")
@@ -114,8 +117,8 @@ class FieldElem:
     # -- canonical order key: level-major, then F_p coordinates --
 
     def key(self):
-        if self._key is None:
-            self._key = (self.level, self.tower.fp_coords(self, self.level))
+        if self._key is None:  # only level 0 builds its key on demand
+            self._key = (0, (self.rep,))
         return self._key
 
     def _coord_terms(self) -> List[Tuple[int, int]]:
@@ -220,7 +223,7 @@ class _FlatField:
     """Flat F_p-coordinate arithmetic for one extension level of F_p-dimension
     D: multiplication uses the D^2 precomputed basis products (rows packed
     into single integers so a product is one fused multiply-add per term),
-    and inversion solves the multiplication-by-a linear system mod p.
+    which ``Tower._flat`` builds from those of the level below by u^2 = c.
 
     A packed slot is ``bits`` wide.  It holds sums of unreduced terms
     a_i b_j (e_i e_j)_k, each below (p-1)^3, and one product of coefficient
@@ -288,7 +291,6 @@ class Tower:
         self._c = [self._fp_cache[next(n for n in range(2, p)
                                        if pow(n, (p - 1) // 2, p) == p - 1)]]
         self._flats: List = [None]
-        self._coord_sizes: List[int] = [1]
         self._elem_cache: List[dict] = [{}]
 
     # ---------------- basic constructors ----------------
@@ -307,62 +309,52 @@ class Tower:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    def level_degree(self, level: int) -> int:
-        return self.levels[level - 1].degree
-
-    def coord_size(self, level: int) -> int:
+    @staticmethod
+    def coord_size(level: int) -> int:
         """F_p-dimension of the level-``level`` field."""
-        sizes = self._coord_sizes
-        while len(sizes) <= len(self.levels):
-            sizes.append(sizes[-1] * self.levels[len(sizes) - 1].degree)
-        return sizes[level]
+        return 1 << level
 
     def field_order(self, level: int) -> int:
         return self.p ** self.coord_size(level)
 
-    def _canon(self, level: int, coeffs: List[FieldElem]) -> FieldElem:
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if not coeffs:
-            return self.zero
-        if len(coeffs) == 1:
-            return coeffs[0]
-        return FieldElem(self, level, tuple(coeffs))
-
-    def _view(self, a: FieldElem, level: int) -> List[FieldElem]:
-        """Coefficient vector of ``a`` over the field below ``level``."""
-        if a.level == level:
-            return list(a.rep)
-        return [a]
-
     # ---------------- flat F_p-coordinate arithmetic ----------------
 
     def _flat(self, level: int) -> _FlatField:
+        """The flat field of ``level``.  Its basis is e_i u^a (a = 0, 1) for
+        the basis e_i of the level below, and its basis products are
+        (e_i u^a)(e_j u^b) = e_i e_j u^(a+b), with u^2 = c."""
         flats = self._flats
         while len(flats) <= level:
             flats.append(None)
         ff = flats[level]
         if ff is None:
-            D = self.coord_size(level)
-            basis = [self.from_fp_coords(level, [1 if i == k else 0
-                                                 for i in range(D)])
-                     for k in range(D)]
-            prods = [[list(self.fp_coords(self._mul_slow(basis[i], basis[j]),
-                                          level))
-                      for j in range(D)] for i in range(D)]
-            ff = _FlatField(D, self.p, prods)
+            p = self.p
+            below = self._flat(level - 1).basis_prod if level > 1 else [[[1]]]
+            h = len(below)
+            zeros = [0] * h
+
+            def combine(v, rows):  # sum of v_m rows[m], mod p
+                terms = [(m, a) for m, a in enumerate(v) if a]
+                return [sum([a * rows[m][n] for m, a in terms]) % p
+                        for n in range(h)]
+
+            # c e_m = sum of c_l e_m e_l, in coordinates one level down
+            c = self.fp_coords(self.levels[level - 1].c, level - 1)
+            c_rows = [combine(c, row) for row in below]
+            # rows e_i (a = 0), then rows e_i u (a = 1)
+            prods = [[v + zeros for v in row] + [zeros + v for v in row]
+                     for row in below]
+            prods += [[zeros + v for v in row] + [combine(v, c_rows) + zeros
+                                                  for v in row] for row in below]
+            ff = _FlatField(2 * h, p, prods)
             flats[level] = ff
         return ff
 
-    def _flat_coords(self, a: FieldElem, D: int) -> Tuple[int, ...]:
-        own = a.key()[1]
-        if len(own) == D:
-            return own
-        return own + (0,) * (D - len(own))
-
     def _elem_from_flat(self, level: int, coords) -> FieldElem:
         """Canonical element from F_p coordinates, memoized per level so the
-        nested representation is shared instead of rebuilt."""
+        nested representation is shared instead of rebuilt.  It is the pair
+        of the elements one level down whose coordinates are the two halves
+        of ``coords``, or the lower half alone when the upper one is zero."""
         if level == 0:
             return self._fp_cache[coords[0]]
         packed = 0
@@ -374,13 +366,11 @@ class Tower:
         cache = caches[level]
         e = cache.get(packed)
         if e is None:
-            block = self.coord_size(level - 1)
-            deg = self.levels[level - 1].degree
-            children = [self._elem_from_flat(level - 1,
-                                             coords[i * block:(i + 1) * block])
-                        for i in range(deg)]
-            e = self._canon(level, children)
-            if e.level == level and e._key is None:
+            h = len(coords) >> 1
+            e = self._elem_from_flat(level - 1, coords[:h])
+            if packed >> (_KEY_BITS * h):
+                e = FieldElem(self, level,
+                              (e, self._elem_from_flat(level - 1, coords[h:])))
                 e._key = (level, tuple(coords))
             if len(cache) < 500_000:
                 cache[packed] = e
@@ -419,10 +409,9 @@ class Tower:
         return self._from_packed(level, ff, v)
 
     def _add_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
-        D = self.coord_size(level)
         p = self.p
-        ca = self._flat_coords(a, D)
-        cb = self._flat_coords(b, D)
+        ca = self.fp_coords(a, level)
+        cb = self.fp_coords(b, level)
         return self._elem_from_flat(level, [(x + y) % p for x, y in zip(ca, cb)])
 
     def poly_mul_flat(self, ca_elems, cb_elems, level: int) -> List[FieldElem]:
@@ -464,45 +453,6 @@ class Tower:
                         acc[ib] = tot
         return acc
 
-    def _inv_flat(self, a: FieldElem, level: int) -> FieldElem:
-        ff = self._flat(level)
-        D = ff.D
-        p = self.p
-        ca = self._flat_coords(a, D)
-        # columns of multiplication-by-a in the flat basis
-        M = [[0] * D for _ in range(D)]
-        for i, ai in enumerate(ca):
-            if not ai:
-                continue
-            for j in range(D):
-                row = ff.basis_prod[i][j]
-                for k in range(D):
-                    r = row[k]
-                    if r:
-                        M[k][j] = (M[k][j] + ai * r) % p
-        # solve M x = e_0 mod p
-        rhs = [1] + [0] * (D - 1)
-        for col in range(D):
-            piv = None
-            for r in range(col, D):
-                if M[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                raise ZeroDivisionError("flat inverse of a non-unit")
-            if piv != col:
-                M[col], M[piv] = M[piv], M[col]
-                rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = pow(M[col][col], p - 2, p)
-            M[col] = [(v * inv) % p for v in M[col]]
-            rhs[col] = (rhs[col] * inv) % p
-            for r in range(D):
-                if r != col and M[r][col]:
-                    f = M[r][col]
-                    M[r] = [(vr - f * vc) % p for vr, vc in zip(M[r], M[col])]
-                    rhs[r] = (rhs[r] - f * rhs[col]) % p
-        return self.from_fp_coords(level, rhs)
-
     # ---------------- arithmetic ----------------
 
     def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
@@ -532,34 +482,6 @@ class Tower:
             return self.zero
         return self._mul_flat(a, b, lv)
 
-    def _mul_slow(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        lv = a.level if a.level >= b.level else b.level
-        if lv == 0:
-            return self._fp_cache[(a.rep * b.rep) % self.p]
-        va, vb = self._view(a, lv), self._view(b, lv)
-        conv = [self.zero] * (len(va) + len(vb) - 1)
-        for i, x in enumerate(va):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(vb):
-                if y.is_zero():
-                    continue
-                conv[i + j] = self.add(conv[i + j], self.mul(x, y))
-        return self._canon(lv, self._reduce_mod_minpoly(lv, conv))
-
-    def _reduce_mod_minpoly(self, level: int, coeffs: List[FieldElem]) -> List[FieldElem]:
-        mp = self.levels[level - 1].minpoly
-        d = len(mp) - 1
-        while len(coeffs) > d:
-            lead = coeffs.pop()
-            if lead.is_zero():
-                continue
-            base = len(coeffs) - d
-            for i in range(d):
-                if not mp[i].is_zero():
-                    coeffs[base + i] = self.sub(coeffs[base + i], self.mul(lead, mp[i]))
-        return coeffs
-
     def inv(self, a: FieldElem) -> FieldElem:
         if a.is_zero():
             raise ZeroDivisionError("field inverse of zero")
@@ -568,22 +490,20 @@ class Tower:
         if a._inv is None:
             # canonical elements are shared per level, so the memo serves
             # every later division by the same value
-            a._inv = self._inv_flat(a, a.level)
+            a._inv = self._inv_norm(a)
         return a._inv
 
-    def _inv_euclid(self, a: FieldElem) -> FieldElem:
-        lv = a.level
-        # extended Euclid between rep-polynomial and the minimal polynomial,
-        # with coefficient arithmetic one level down
-        r0 = list(self.levels[lv - 1].minpoly)
-        r1 = self._view(a, lv)
-        s0: List[FieldElem] = []
-        s1: List[FieldElem] = [self.one]
-        while len(r1) > 1:
-            q, r = self.poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, self.poly_sub(s0, self.poly_mul(q, s1))
-        return self._canon(lv, self.poly_scale(self.inv(r1[0]), s1))
+    def _inv_norm(self, a: FieldElem) -> FieldElem:
+        """(a0 + a1 u)^-1 = (a0 - a1 u) / (a0^2 - c a1^2) for a = (a0, a1) at
+        an extension level: the norm a0^2 - c a1^2 lies one level down, and
+        is nonzero since c is not a square there."""
+        mul, level = self.mul, a.level
+        a0, a1 = a.rep
+        c = self.levels[level - 1].c
+        n = self.inv(self.sub(mul(a0, a0), mul(c, mul(a1, a1))))
+        return self._elem_from_flat(
+            level, self.fp_coords(mul(a0, n), level - 1)
+            + self.fp_coords(self.neg(mul(a1, n)), level - 1))
 
     def div(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return self.mul(a, self.inv(b))
@@ -760,7 +680,7 @@ class Tower:
         quotient and the final remainder are built as elements.  A slot of
         the remainder takes at most one product of coordinate vectors per
         step, so after every ``ff.max_pairs`` steps it is reduced mod p."""
-        D, p = ff.D, self.p
+        p = self.p
         mul_rows, unpack = self._mul_rows, ff.unpack
         n = len(g)
         # the multiplication rows of lc(g)^-1, and hrows[j][i]: e_i times
@@ -773,7 +693,7 @@ class Tower:
                 hy = unpack(sum([c * ginv[i] for i, c in terms]))
                 terms = [(i, c) for i, c in enumerate(hy) if c]
             hrows.append(mul_rows(ff, terms))
-        r = [ff.pack(self._flat_coords(e, D)) for e in f]
+        r = [ff.pack(self.fp_coords(e, level)) for e in f]
         q = [self.zero] * (len(f) - n + 1)
         room = ff.max_pairs
         for k in range(len(q) - 1, -1, -1):
@@ -832,21 +752,12 @@ class Tower:
     # ---------------- F_p coordinates ----------------
 
     def fp_coords(self, a: FieldElem, level: Optional[int] = None) -> Tuple[int, ...]:
-        """Coordinates of ``a`` in the F_p tensor basis of ``level``."""
+        """Coordinates of ``a`` in the F_p basis of ``level`` (at least a's
+        own): its key's coordinates, padded with zeros."""
+        own = a.key()[1]
         if level is None:
-            level = a.level
-        if level == 0:
-            return (a.rep,)
-        block = self.coord_size(level - 1)
-        deg = self.levels[level - 1].degree
-        vec = self._view(a, level)
-        out: List[int] = []
-        for i in range(deg):
-            if i < len(vec):
-                out.extend(self.fp_coords(vec[i], level - 1))
-            else:
-                out.extend([0] * block)
-        return tuple(out)
+            return own
+        return own + (0,) * ((1 << level) - len(own))
 
     def from_fp_coords(self, level: int, coords: Sequence[int]) -> FieldElem:
         if level == 0:
@@ -880,8 +791,7 @@ class Tower:
     def grow(self) -> FieldElem:
         """Append the next fixed level x^2 - c_k; return its generator."""
         c = self._nonsquare(len(self.levels))
-        self.levels.append(Level(f"u{len(self.levels) + 1}",
-                                 (self.neg(c), self.zero, self.one)))
+        self.levels.append(Level(f"u{len(self.levels) + 1}", c))
         return self.generator(len(self.levels))
 
     def grow_quadratic(self) -> FieldElem:

@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -84,6 +85,29 @@ def test_parse_problem_generator_lines():
             parse_problem(f"p = 5\n{bad}A = [ [ 1 ] ]\n")
     with pytest.raises(InputError, match="is not level 1 of the tower, u1: u1\\^2\\+3 = 0"):
         parse_problem("p = 5\n# generator u1: u1^2+2 = 0\nA = [ [ 1 ] ]\n", tower)
+
+
+def _generator_header(p, levels):
+    T = Tower(p)
+    for _ in range(levels):
+        T.grow()
+    return "".join(f"# generator {line}\n" for line in T.describe_levels())
+
+
+def test_generator_lines_stop_at_the_level_cap(tmp_path):
+    """A header may name MAX_LEVELS = 7 levels.  A line for level 8 is an
+    input error before the tower grows: the first product at level k
+    builds a table of 2^(3k) entries, so deeper levels cost seconds, then
+    minutes and gigabytes."""
+    tower, _, A, _ = parse_problem(f"p = 5\n{_generator_header(5, 7)}A = [ [ u7 ] ]\n")
+    assert tower.num_levels() == 7 and A.entries[0][0].coeff(0) == tower.generator(7)
+    path = tmp_path / "deep.prob"
+    path.write_text(f"p = 5\nn = 1\n{_generator_header(5, 8)}A = [ [ 1 ] ]\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(["invariants", str(path)])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "generator u8: a problem file may name at most 7 tower levels" in err
 
 
 def test_invariants_command(prob_file):

@@ -72,20 +72,14 @@ def _school_add(T, f, g):
     return _school_trim(out)
 
 
-def _append_level(T, minpoly):
-    """Append a level that the library never builds, with the given monic
-    irreducible minimal polynomial: the kernel runs on any level."""
-    T.levels.append(Level(f"u{T.num_levels() + 1}", tuple(minpoly)))
-
-
 def _kernel_towers():
     """(tower, level): F_5 (int arithmetic), then packed flat products over
     F_81, a small two-level case, over the three-level F_{5^8}, and over
-    F_{3^24} (levels of degree 4, 2 and 3), where building an element's
-    multiplication rows saves the most; then F_{163^2}, the first prime
-    whose quadratic products would not fit a 24-bit slot, and F_{8191^2}.
-    Those two adjoin a root of x^2 + 1, so that u^2 = p - 1 keeps the
-    products of large coordinates large."""
+    the five-level F_{3^32}, where building an element's multiplication
+    rows saves the most; then F_{163^2}, the first prime whose quadratic
+    products would not fit a 24-bit slot, and F_{8191^2}.  Those two adjoin
+    a root of x^2 + 1 (-1 is a non-square, as both are 3 mod 4), so that
+    u^2 = p - 1 keeps the products of large coordinates large."""
     prime = Tower(5)
     small = Tower(3)
     small.grow()
@@ -94,18 +88,13 @@ def _kernel_towers():
     for _ in range(3):
         flat.grow()
     deep = Tower(3)
-    # x^4 + x^2 + 2, then x^2 + u1^3 + 2 u1, then x^3 + (2 u1^2 + 1) x^2 +
-    # 2 u1^2 + 1, levels that the library never builds; tuples are F_3
-    # coordinates over the basis 1, u1, u1^2, u1^3
-    for minpoly in ([2, 0, 1, 0, 1], [(0, 2, 0, 1), 0, 1],
-                    [(1, 0, 2, 0), 0, (1, 0, 2, 0), 1]):
-        _append_level(deep, [deep.from_fp_coords(1, c) if isinstance(c, tuple)
-                             else deep.elem(c) for c in minpoly])
-    assert deep.coord_size(3) == 24
-    towers = [(prime, 0), (small, 2), (flat, 3), (deep, 3)]
+    for _ in range(5):
+        deep.grow()
+    assert deep.coord_size(5) == 32
+    towers = [(prime, 0), (small, 2), (flat, 3), (deep, 5)]
     for p in (163, 8191):
         T = Tower(p)
-        _append_level(T, [T.one, T.zero, T.one])
+        T.levels.append(Level("u1", T.elem(-1)))
         assert T._flat(1).max_pairs >= 255
         towers.append((T, 1))
     return towers
@@ -425,7 +414,6 @@ def test_half_split_grows_quadratic_levels(p, base, d):
             top = T.num_levels()
             w = _half_split(h)
             assert T.num_levels() == top + missing
-            assert all(level.degree == 2 for level in T.levels)
             assert is_pure(w)
             assert (w * w.star()).exact_div(h).degree() == 0
             fixed = Tower(p)

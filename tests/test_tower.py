@@ -274,19 +274,12 @@ def test_field_axioms_mixed_levels():
             assert x * T.inv(x) == T.one
 
 
-def _append_level(T, minpoly):
-    """Append a level that the library never builds, with the given monic
-    irreducible minimal polynomial: the arithmetic runs on any level."""
-    T.levels.append(Level(f"u{T.num_levels() + 1}", tuple(minpoly)))
-
-
-def _tower_with_binomial_level(p, d):
-    """Tower(p) with the level t^d - c, c the largest residue that is not a
-    d-th power (d prime, p = 1 mod d), so basis products have large
-    coordinates."""
+def _tower_with_level_x2_plus_1(p):
+    """Tower(p) with the level x^2 + 1 (p = 3 mod 4, so -1 is a non-square),
+    which the library never builds: u^2 = p - 1 keeps the products of large
+    coordinates large."""
     T = Tower(p)
-    c = next(c for c in range(p - 1, 1, -1) if pow(c, (p - 1) // d, p) != 1)
-    _append_level(T, [T.elem(-c)] + [T.zero] * (d - 1) + [T.one])
+    T.levels.append(Level("u1", T.elem(-1)))
     return T
 
 
@@ -297,14 +290,37 @@ def _quadratic_tower(p, levels):
     return T
 
 
+def _school_mul(T, x, y, level):
+    """x y at ``level``, computed on F_p coordinate lists without the flat
+    tables: (x0 + x1 u)(y0 + y1 u) = (x0 y0 + c x1 y1) + (x0 y1 + x1 y0) u
+    with u^2 = c, recursively down to F_p."""
+    p = T.p
+
+    def add(a, b):
+        return [(s + t) % p for s, t in zip(a, b)]
+
+    def mul(a, b, k):
+        if k == 0:
+            return [a[0] * b[0] % p]
+        h = len(a) // 2
+        c = list(T.fp_coords(T.levels[k - 1].c, k - 1))
+        low = add(mul(a[:h], b[:h], k - 1),
+                  mul(c, mul(a[h:], b[h:], k - 1), k - 1))
+        return low + add(mul(a[:h], b[h:], k - 1), mul(a[h:], b[:h], k - 1))
+
+    return T.from_fp_coords(level, mul(list(T.fp_coords(x, level)),
+                                       list(T.fp_coords(y, level)), level))
+
+
 def test_flat_level_matches_slow_arithmetic():
     # small levels F_9, F_25, F_49 and F_81 (two quadratic levels), the
-    # three-level F_{5^8}, then primes whose packed flat products once
-    # overflowed a fixed 24-bit slot and came out wrong
+    # three-level F_{5^8} and F_{4099^4} (p = 3 mod 4, so c_2 is not u_1),
+    # then F_{8191^2}, where packed flat products once overflowed a fixed
+    # 24-bit slot and came out wrong
     towers = [_quadratic_tower(3, 1), _quadratic_tower(5, 1),
               _quadratic_tower(7, 1), _quadratic_tower(3, 2),
-              _quadratic_tower(5, 3), _tower_with_binomial_level(4099, 3),
-              _tower_with_binomial_level(8191, 2)]
+              _quadratic_tower(5, 3), _quadratic_tower(4099, 2),
+              _tower_with_level_x2_plus_1(8191)]
     for T in towers:
         lv = T.num_levels()
         q = T.field_order(lv)
@@ -315,29 +331,28 @@ def test_flat_level_matches_slow_arithmetic():
             if not x.is_zero():
                 assert T.pow(x, q - 1) == T.one
             for y in es:
-                assert T.mul(x, y) == T._mul_slow(x, y)
+                assert T.mul(x, y) == _school_mul(T, x, y, lv)
                 if not y.is_zero():
                     assert T.mul(T.inv(y), y) == T.one
-                    assert T.inv(y) == T._inv_euclid(y) if y.level == lv else True
 
 
 def test_extension_inverse_is_memoized():
-    """An extension-level inverse is solved once per element and kept on it;
-    the kept value is still the Euclidean inverse, and canonical elements
-    built again from the same coordinates share it."""
-    for T in (_quadratic_tower(3, 2), _tower_with_binomial_level(8191, 2)):
+    """An extension-level inverse is taken once per element and kept on it;
+    the kept value is still an inverse, and canonical elements built again
+    from the same coordinates share it."""
+    for T in (_quadratic_tower(3, 2), _tower_with_level_x2_plus_1(8191)):
         lv = T.num_levels()
         rng = random.Random(5)
         calls = []
-        solve = T._inv_flat
-        T._inv_flat = lambda a, level: calls.append(a) or solve(a, level)
+        solve = T._inv_norm
+        T._inv_norm = lambda a: calls.append(a) or solve(a)
         for _ in range(20):
             a = T.random_element(lv, rng)
             if a.level == 0:
                 continue
             inv = T.inv(a)
             assert a._inv is inv and T.inv(a) is inv
-            assert inv == T._inv_euclid(a) and T.mul(a, inv) == T.one
+            assert _school_mul(T, a, inv, lv) == T.one
             again = T.from_fp_coords(lv, T.fp_coords(a, lv))
             assert again is a and T.inv(again) is inv
         assert len(calls) == len(set(map(id, calls))) > 0
@@ -351,7 +366,8 @@ def test_large_prime_builds_no_product_table():
             "T = Tower(65537)\n"
             "x = T.grow() + T.elem(65000)\n"
             "assert T._flat(1).max_pairs >= 255\n"
-            "assert T.mul(x, x) == T._mul_slow(x, x)\n"
+            "c = T.levels[0].c.rep\n"
+            "assert T.mul(x, x) == T.from_fp_coords(1, [c + 65000**2, 130000])\n"
             "assert T.mul(x, T.inv(x)) == T.one\n")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
