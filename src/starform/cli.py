@@ -13,14 +13,15 @@ optional leading sign; a term is a product of factors joined by *, and a
 factor is t, an integer (reduced mod p), a generator uK or a parenthesized
 entry, each optionally raised to ^k.  Whitespace is ignored anywhere inside
 an entry.  The generators u1, u2, ... name the tower's levels, which are
-fixed for each p.  A comment line ``# generator uK: <minimal polynomial in
-uK> = 0``, as certificates carry them, must give level K, and K is at most
-``MAX_LEVELS``.
+fixed for each p, so an entry may name uK with no other line; K is at
+most ``MAX_LEVELS``.  A comment line ``# generator uK: <minimal polynomial
+in uK> = 0``, as certificates carry them, must give level K.
 
 `main` builds its argument parser once per process and reuses it.
 
 Exit codes: 0 success, 1 a certificate failed its check (in `verify` or in
-the library) or a `selftest` check failed, 2 input error.
+the library), a reduction failed (`ReductionError`, reported in one line)
+or a `selftest` check failed, 2 input error.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .starpoly import StarPoly, format_poly, parse_poly
 from .polymat import (HERMITIAN, SKEW, Certificate, CertificateError,
                       PolyMatrix, determinant, form_kind, invariant_factors)
 from .canonical import CanonicalBlocks, canonicalize, are_congruent
+from .congruence import ReductionError
 from .randgen import RandomSpec, generate
 
 
@@ -69,17 +71,22 @@ _GENERATOR = re.compile(r"#\s*generator\s+u(\d+)\s*:\s*(.*?)\s*=\s*0$")
 MAX_LEVELS = 7
 
 
+def _grow_to(tower: Tower, k: int, what: str) -> None:
+    """Grow the tower's fixed levels to k, refusing k > MAX_LEVELS first."""
+    if k > MAX_LEVELS:
+        raise InputError(f"{what}: a problem file may name at most "
+                         f"{MAX_LEVELS} tower levels")
+    while tower.num_levels() < k:
+        tower.grow()
+
+
 def _read_generator(tower: Tower, k: int, text: str) -> None:
     """Check a generator line, the minimal polynomial of uK written in uK
     over the lower generators, against the fixed level k of the tower,
     growing the tower to k levels first."""
     if "t" in text:
         raise InputError(f"generator u{k}: write its minimal polynomial in u{k}")
-    if k > MAX_LEVELS:
-        raise InputError(f"generator u{k}: a problem file may name at most "
-                         f"{MAX_LEVELS} tower levels")
-    while tower.num_levels() < k:
-        tower.grow()
+    _grow_to(tower, k, f"generator u{k}")
     try:
         mp = parse_poly(re.sub(rf"u{k}(?!\d)", "t", text), tower).coeffs
     except ValueError as exc:
@@ -96,7 +103,8 @@ def parse_problem(text: str, tower: Optional[Tower] = None
     Any additional matrix sections (S = ..., B = ...) land in extras.  The
     entries are parsed into `tower` when one is given, and the file's p must
     be its prime; otherwise into a new Tower(p).  Generator lines must
-    match the tower's fixed levels, which are grown as far as they go.
+    match the tower's fixed levels, which are grown as far as the lines and
+    the deepest uK of the matrices go.
     """
     fields = {}
     matrices = {}
@@ -146,6 +154,10 @@ def parse_problem(text: str, tower: Optional[Tower] = None
         if level != k:
             raise InputError(f"generator u{level} is out of order: expected u{k}")
         _read_generator(tower, k, minpoly)
+    # the levels are fixed by p, so an entry may name uK without its line
+    for raw in matrices.values():
+        for k in re.findall(r"u(\d+)", "".join(raw.split())):
+            _grow_to(tower, int(k), f"u{k}")
     parsed = {name: _parse_matrix(raw, tower) for name, raw in matrices.items()}
     A = parsed["A"]
     if "n" in fields and A.rows != fields["n"]:
@@ -415,6 +427,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except SelftestError as exc:
         print(f"selftest FAILED: {exc}", file=sys.stderr)
+        return 1
+    except ReductionError as exc:
+        print(f"reduction failed: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -17,7 +17,11 @@ Certificate (S unimodular, S* A S = B).  The entry points:
 - ``sk2_zero_diagonal``: 2x2 skew, gcd 1, det != 0 -> zero diagonal.
 - ``sk_split``: n x n skew, gcd 1, det != 0 -> [[0,p],[-p*,0]] (+) D with
   p the canonical pure factor of the second invariant factor f2 = p p*
-  and p p* dividing every entry of D.
+  and p p* dividing every entry of D.  Its pivot is a primitive isotropic
+  x whose pairing x* A has content of degree deg p: the isotropic vector
+  when that has it, else built in one pass from a left Smith transform
+  U A V = diag(1, f2, ...), as x = p* a U* e0 + r U* e_d (f_d = f2) with
+  (a, r) isotropic for a 2x2 form and a prime to p.  No search is made.
 - ``block_swap``: congruence between 2x2 zero-diagonal skew blocks whose
   pure off-diagonal entries share a norm, in one move built from a gcd
   and an even Bezout relation; ``sk_split`` ends with it.
@@ -39,7 +43,6 @@ from .polymat import (HERMITIAN, SKEW, Certificate, PolyMatrix, Reduction,
 from .tower import FieldElem, Tower
 
 _SCAN_CAP = 4096
-_SEARCH_ROUNDS = 64
 
 
 class ReductionError(RuntimeError):
@@ -304,121 +307,6 @@ def _homogeneous_bezout(a0: StarPoly, b: StarPoly) -> Tuple[StarPoly, StarPoly]:
     _require(y.parity() in (EVEN,) and not y.eval(T.zero).is_zero(),
              "homogeneous Bezout cofactor is not even with y(0) != 0")
     return x, y
-
-
-def _solve_sesquilinear(aa: StarPoly, rhs: StarPoly) -> Optional[StarPoly]:
-    """z with aa z - (aa z)* = rhs, or None when the divisibility/parity
-    obstruction blocks it."""
-    T = aa.tower
-    if rhs.is_zero():
-        return StarPoly.zero(T)
-    if aa.is_zero():
-        return None
-    g0, ghat = pure_split(aa)
-    q, rem = divmod(rhs, g0)
-    if not rem.is_zero():
-        return None
-    inner = "-" if g0.star() == g0 else "+"
-    try:
-        return solve_norm_equation(ghat, q, inner)
-    except ValueError:
-        return None
-
-
-def _reduce_frame_columns(V: PolyMatrix) -> PolyMatrix:
-    """Degree-reduce the frame basis by column operations that keep row 0 of
-    the coordinate change equal to e0 (so frame-candidate pairings survive):
-    columns >= 1 reduce each other and column 0, never the other way."""
-    cols = [V.column(j) for j in range(V.cols)]
-    reduce_columns(cols, range(1, V.cols), 6)
-    return PolyMatrix(V.tower, [[col[i] for col in cols] for i in range(V.rows)])
-
-
-def _frame_conjugators(A: PolyMatrix) -> List[PolyMatrix]:
-    """A few deterministic unimodular conjugators giving independent Smith
-    frames to search; the identity comes first."""
-    T = A.tower
-    n = A.rows
-    out = [PolyMatrix.identity(T, n)]
-    if n < 2:
-        return out
-    idx = list(range(n))
-    perms = [idx[k:] + idx[:k] for k in range(1, n)]
-    perms.append(list(reversed(idx)))
-    z, o = StarPoly.zero(T), StarPoly.one(T)
-    for perm in perms:
-        out.append(PolyMatrix(T, [[o if perm[j] == i else z for j in range(n)]
-                                  for i in range(n)]))
-    t = StarPoly.t(T)
-    for x in (o, t):
-        M = [list(r) for r in PolyMatrix.identity(T, n).entries]
-        M[0][1] = x
-        out.append(PolyMatrix(T, M))
-        M = [list(r) for r in PolyMatrix.identity(T, n).entries]
-        M[n - 1][0] = x
-        out.append(PolyMatrix(T, M))
-    return out
-
-
-def _smith_frame_vectors(A: PolyMatrix, scale0: StarPoly):
-    """For skew-hermitian A: isotropic vectors v with pairing ideal exactly
-    (scale0), searched in Smith sublattice frames {V e0 * scale0, V e_j}.
-
-    Any c = e0 + z e_j + mu e_k, mu = 1..4, maps to a vector whose image
-    under A is scale0 times a unimodular image of a primitive column, so only
-    the isotropy corrector equation is in question.  Yields candidates
-    lazily."""
-    T = A.tower
-    n = A.rows
-    mus = [StarPoly.const(T, m) for m in range(1, 5)]
-    for M in _frame_conjugators(A):
-        A2 = (M.star_transpose() @ A) @ M
-        V = _reduce_frame_columns(smith_form(A2).V)
-        K_cols = [V.column(j) for j in range(n)]
-        if not scale0.is_one():
-            K_cols[0] = [scale0 * e for e in K_cols[0]]
-        K = PolyMatrix(T, [[K_cols[j][i] for j in range(n)] for i in range(n)])
-        G = (K.star_transpose() @ A2) @ K
-
-        def emit(c):
-            v = apply_matrix(M, apply_matrix(K, c))
-            g = vector_gcd(v)
-            if not g.is_one():
-                v = [e.exact_div(g) for e in v]
-            return v
-
-        base = G.entries[0][0]
-        if base.is_zero():
-            yield emit(_basis_vector(T, n, 0))
-            continue
-        for j in range(1, n):
-            if not G.entries[j][j].is_zero():
-                continue
-            aa0 = G.entries[0][j]
-            if not aa0.is_zero():
-                z = _solve_sesquilinear(aa0, -base)
-                if z is not None:
-                    c = _basis_vector(T, n, 0)
-                    c[j] = z
-                    yield emit(c)
-            for k in range(1, n):
-                if k == j:
-                    continue
-                gjk = G.entries[j][k]
-                g0k = G.entries[0][k]
-                gkk = G.entries[k][k]
-                for mu in mus:
-                    aa = aa0 - mu * gjk.star()
-                    rhs = -(base + mu * (g0k - g0k.star()) + (mu * mu) * gkk)
-                    if aa.is_zero():
-                        continue
-                    z = _solve_sesquilinear(aa, rhs)
-                    if z is None:
-                        continue
-                    c = _basis_vector(T, n, 0)
-                    c[j] = z
-                    c[k] = mu
-                    yield emit(c)
 
 
 def _constant_mixes(A: PolyMatrix, i: int, j: int):
@@ -752,106 +640,84 @@ class SkewSplitResult:
         self.D = D
 
 
-class _PivotSearch:
-    """Finds an isotropic vector whose pairing ideal has the certified
-    minimal degree nu = deg p = deg(f2)/2, p the canonical pure factor of
-    f2, then normalizes the matrix so row 0 is (0, g, 0, ..., 0) with
-    deg g = nu."""
+def _skew_pivot(red: Reduction, p: StarPoly) -> None:
+    """Bring the reduced skew window red.B (gcd 1, det != 0, n >= 3) to row 0
+    = (0, g, 0, ..., 0) with deg g = deg p, p the canonical pure factor of
+    the second invariant factor f2 = p p* (up to a unit).  The isotropic
+    vector v of ``isotropic_vector`` is kept when the content of B v has
+    degree deg p; otherwise ``_smith_pivot`` builds one."""
+    B = red.B
+    v = isotropic_vector(B, SKEW)
+    if vector_gcd(apply_matrix(B, v)).degree() != p.degree():
+        v = _smith_pivot(B, p)
+    red.apply(unimodular_completion(v))
+    _require(red.B.entries[0][0].is_zero(),
+             "isotropic completion left a nonzero corner")
+    _reduce_row_tail(red, 1)
+    _require(red.B.entries[0][1].degree() == p.degree(),
+             "skew pivot pairing degree is not deg p")
 
-    def __init__(self, red: Reduction, p: StarPoly):
-        self.red = red
-        self.nu = p.degree()
-        self.p = p
-        self.T = red.B.tower
-        self.n = red.B.rows
 
-    def run(self) -> None:
-        red = self.red
-        v0 = isotropic_vector(red.B, SKEW)
-        self._commit(v0)
-        for _ in range(_SEARCH_ROUNDS):
-            m = red.B.entries[0][1].degree()
-            if m == self.nu:
-                return
-            if m < self.nu:
-                raise ReductionError("pairing degree fell below the Smith bound")
-            if self._try_smith_frame(m):
-                continue
-            if self._try_block_lift(m):
-                continue
-            _dx_descent(red)
-            if self._try_stir(m):
-                continue
-            raise ReductionError("skew pivot search stalled above the Smith bound")
-        raise ReductionError("skew pivot search exceeded its round budget")
+def _smith_pivot(B: PolyMatrix, p: StarPoly) -> List[StarPoly]:
+    """A primitive isotropic x whose content of x* B is p* up to a unit,
+    built from a left Smith transform U B V = diag(1, f2, f3, ...) of the
+    reduced skew window B (gcd 1, det != 0, n >= 3), f2 = p p* up to a unit.
 
-    # -- committing a better pivot --
+    - x = U* r has x* B = r* diag(1, f2, ...) V^-1, so the content of x* B
+      is gcd(r_0, f2 r_1, f3 r_2, ...).  Adding a multiple of row k of U
+      to row j gives another left Smith transform when f_j | f_k: any row
+      to row 0, and to a row d with f_d = f2 every row k >= 1, and row 0
+      too when f2 = 1.  So x0 = U* e0, then x_d = U* e_d, are
+      degree-reduced against those columns of U* first.
+    - G = U B U* has row i divisible by f_i, so m = x0* B x0 is prime to f2,
+      and b = x0* B x_d / p p* and c = x_d* B x_d / p p* are polynomials.
+    - r = p* a e0 + r1 e_d is isotropic exactly when (a, r1) is for
+      [[m, p b], [-(p b)*, c]]: (a, r1) = (w - p b, m) with w w* = y =
+      m c + (p b)(p b)*, as in ``isotropic_vector``.  w takes the roots of
+      y among those of p* (w0, by repeated gcds) and a norm factor of the
+      rest, so w and a are nonzero at every root of p, and the content of
+      x* B is p* up to a unit.
+    m = 0 only when f2 = 1, and then x0 is the pivot; y = 0 moves on to the
+    next d with f_d = f2."""
+    n = B.rows
+    sf = smith_form(B)
+    cols = [sf.U.star_transpose().column(j) for j in range(n)]
 
-    def _commit(self, v: Sequence[StarPoly]) -> None:
-        g = vector_gcd(list(v))
-        if not g.is_one():
-            v = [e.exact_div(g) for e in v]
-        self.red.apply(unimodular_completion(list(v)))
-        _require(self.red.B.entries[0][0].is_zero(),
-                 "isotropic completion left a nonzero corner")
-        _reduce_row_tail(self.red, 1)
+    def reduced(j: int, others: List[int]) -> List[StarPoly]:
+        work = [cols[k] for k in others] + [cols[j]]
+        reduce_columns(work, range(len(others)), 6)
+        return work[-1]
 
-    def _improves(self, v: Sequence[StarPoly], m: int) -> bool:
-        if all(e.is_zero() for e in v):
-            return False
-        if not form_value(self.red.B, v, v).is_zero():
-            return False
-        return vector_gcd(apply_matrix(self.red.B, list(v))).degree() < m
-
-    # -- move generators --
-
-    def _try_block_lift(self, m: int) -> bool:
-        B = self.red.B
-        sub = B.submatrix(range(1, self.n), range(1, self.n))
-        if sub.is_zero():
-            return False
-        try:
-            v1 = isotropic_vector(sub, SKEW)
-        except ValueError:
-            return False
-        v = [StarPoly.zero(self.T)] + v1
-        if self._improves(v, m):
-            self._commit(v)
-            return True
-        return False
-
-    def _try_smith_frame(self, m: int) -> bool:
-        """Search the sublattice {v : B v = 0 mod f}, f the canonical pure
-        factor of f2: its frame combinations have pairing exactly (f)
-        whenever the isotropy corrector solves."""
-        count = 0
-        for v in _smith_frame_vectors(self.red.B, self.p):
-            if self._improves(v, m):
-                self._commit(v)
-                return True
-            count += 1
-            if count > 400:
+    x0 = cols[0] = reduced(0, list(range(1, n)))
+    m = form_value(B, x0, x0)
+    if m.is_zero():
+        return x0
+    ps = p.star()
+    ff = p * ps
+    f2 = sf.factors[1]
+    for d in range(1, n):
+        if sf.factors[d] != f2:
+            break
+        xd = reduced(d, [k for k in range(n)
+                         if k != d and (sf.factors[k] % f2).is_zero()])
+        beta = p * form_value(B, x0, xd).exact_div(ff)
+        y = m * form_value(B, xd, xd).exact_div(ff) + beta * beta.star()
+        if y.is_zero():
+            continue
+        w0 = StarPoly.one(B.tower)
+        rest = y
+        while True:
+            g = poly_gcd(rest, ps)
+            if g.degree() < 1:
                 break
-        return False
-
-    def _try_stir(self, m: int) -> bool:
-        import random
-        rng = random.Random(0xD1CE + self.n + m)
-        t = StarPoly.t(self.T)
-        one = StarPoly.one(self.T)
-        for _ in range(8):
-            i = rng.randrange(1, self.n)
-            j = rng.randrange(1, self.n)
-            if i == j:
-                continue
-            x = rng.choice([one, t, t + one])
-            self.red.transvection(i, j, x)
-            _reduce_row_tail(self.red, 1)
-            if self.red.B.entries[0][1].degree() < m:
-                return True
-            if self._try_smith_frame(m):
-                return True
-        return False
+            w0 = w0 * g
+            rest = rest.exact_div(g)
+        w = w0 * norm_factor(rest.exact_div(w0.star()))
+        a = ps * (w - beta)
+        x = [a * e0 + m * ed for e0, ed in zip(x0, xd)]
+        g = vector_gcd(x)
+        return x if g.is_one() else [e.exact_div(g) for e in x]
+    raise ReductionError("skew pivot: y = 0 in every direction of f2")
 
 
 def _dx_descent(red: Reduction) -> None:
@@ -927,7 +793,7 @@ def _sk_split(A: PolyMatrix, p: StarPoly) -> SkewSplitResult:
     n = A.rows
     red = Reduction(A)
     if n > 2:
-        _PivotSearch(red, p).run()
+        _skew_pivot(red, p)
         _dx_descent(red)
         g = red.B.entries[0][1]
         if not gcd_many([g, g.star(), red.B.entries[1][1]]).is_one():

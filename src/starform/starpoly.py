@@ -343,12 +343,20 @@ def _half_split(h: StarPoly) -> StarPoly:
     A factor g that is self-star and irreducible over the top level F_q,
     of degree 2e, splits over F_{q^2}, the next fixed level, into two
     factors of degree e.  So only the quadratic levels that h needs and the
-    tower lacks are grown, v_2(deg h) over h's coefficients."""
+    tower lacks are grown, v_2(deg h) over h's coefficients.  A self-star
+    factor of degree 2 is t^2 + g(0), whose pair t -/+ sqrt(-g(0)) is taken
+    in closed form, with no random draw."""
     T = h.tower
     if h.degree() % 2 != 0:
         raise ValueError("self-star irreducible factors have even degree")
 
+    def key(f: StarPoly):
+        return [c.key() for c in f.coeffs]
+
     def half(g: StarPoly) -> StarPoly:
+        if g.degree() == 2:
+            r = StarPoly.const(T, T.sqrt(-g.coeff(0)))
+            return min(StarPoly.t(T) - r, StarPoly.t(T) + r, key=key)
         roots, irred = T._factor_over_level(list(g.coeffs), T.num_levels())
         pieces = [StarPoly(T, f) for f in [[T.neg(r), T.one] for r in roots] + irred]
         if pieces == [g]:  # self-star and irreducible over the top level
@@ -359,7 +367,7 @@ def _half_split(h: StarPoly) -> StarPoly:
             fs = f.star().monic()
             if f == fs:
                 w = w * half(f)
-            elif [c.key() for c in f.coeffs] < [c.key() for c in fs.coeffs]:
+            elif key(f) < key(fs):
                 w = w * f
         return w
 

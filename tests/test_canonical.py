@@ -498,6 +498,77 @@ def test_one_text_per_class_on_small_skew_forms():
     assert all(len(found) == 1 for found in texts.values())
 
 
+# ---------------- the skew pivot ----------------
+
+# 3x3 skew forms over F_3 with the invariant factors (1, t^2+1, f3), whose
+# pivot the cheap isotropic vector misses; entries are coefficient lists,
+# constant term first
+_BUILT_PIVOT_FORMS = [
+    ([[[0, 0, 0, 2], [0, 2], [2, 1]], [[0, 2], [0, 0, 0, 2], [1, 2]],
+      [[1, 1], [2, 2], [0, 0, 0, 1]]], "t^7-t^5-t^3+t"),
+    ([[[0, 0, 0, 1], [0, 0], [1, 0]], [[0, 0], [0, 2, 0, 2], [0, 0]],
+      [[2, 0], [0, 0], [0, 2, 0, 0]]], "t^5-t"),
+    ([[[0, 0, 0, 2], [1, 0], [1, 0]], [[2, 0], [0, 1, 0, 0], [0, 1]],
+      [[2, 0], [0, 1], [0, 2, 0, 1]]], "t^5-t"),
+]
+
+
+@pytest.mark.parametrize("rows, f3", _BUILT_PIVOT_FORMS)
+def test_skew_pivot_is_built_from_the_smith_transform(rows, f3):
+    """The pivot of these forms is built from a left Smith transform; a
+    seeded pivot search stalled on all three."""
+    T = Tower(3)
+    A = PolyMatrix(T, [[StarPoly.from_ints(T, c) for c in row] for row in rows])
+    cert, cb = canonicalize(A, SKEW)
+    cert.check(A)
+    assert cb.serialize(T).splitlines()[3:] == [
+        "generator u1: u1^2+1 = 0", "2x2: 1 | (u1)*t-1", f"1x1: {f3}"]
+
+
+def test_skew_pivot_when_f2_is_one():
+    """f2 = 1 and x0* B x0 = 0 in the Smith frame: x0 is the pivot."""
+    T = Tower(3)
+    A = M([["0", "-t", "0"], ["-t", "0", "1"], ["0", "-1", "-t^3+t"]], T)
+    assert [str(f) for f in invariant_factors(A)] == ["1", "1", "t^5-t^3"]
+    cert, cb = canonicalize(A, SKEW)
+    cert.check(A)
+    assert cb.serialize(T) == "p = 3\nepsilon = -1\nn = 3\n2x2: 1 | 1\n1x1: t^5-t^3"
+
+
+def _pool_form(kind, p, n, eps, seed):
+    """Member ``seed`` of the benchmark pool cell (p, n, eps) of ``kind``."""
+    if kind == "dense":
+        return _dense_form(p, n, eps, seed)
+    inst = generate(RandomSpec(seed=seed, p=p, n=n, eps=eps, max_degree=6, moves=6))
+    return inst.tower, inst.A
+
+
+@pytest.mark.parametrize("kind, p, n, eps, seed, text", [
+    # the pivot of a skew window here is built in the second direction
+    # with f_d = f2: y = 0 in the first
+    ("scrambled", 3, 5, HERMITIAN, 10,
+     "2x2: t | t^2-t+1\n2x2: t^5+t^3+t | 1\n1x1: 0"),
+    # inputs on which a seeded pivot search stirred the window
+    ("scrambled", 5, 6, HERMITIAN, 7,
+     "2x2: t | 2*t+2\n1x1: t^4-t^2\n2x2: t^5-t^3 | 1\n1x1: t^6-t^4"),
+    ("scrambled", 5, 5, SKEW, 29,
+     "2x2: 1 | t^2-2*t+2\n2x2: t^6-2*t^4-t^2+2 | 1\n1x1: 0"),
+    ("scrambled", 7, 6, SKEW, 52,
+     "2x2: 1 | t^2-2*t-1\n1x1: t^5+t^3+t\n2x2: t^6+t^4+t^2 | 1\n1x1: 0"),
+    ("dense", 5, 3, SKEW, 52, "2x2: 1 | 1\n1x1: t^5-t"),
+    # inputs on which it lifted an isotropic vector of the lower block
+    ("dense", 3, 3, SKEW, 4, "2x2: 1 | 1\n1x1: t^5-t"),
+    ("dense", 3, 3, SKEW, 42, "2x2: 1 | 1\n1x1: t^5-t^3"),
+    ("scrambled", 5, 6, SKEW, 29,
+     "2x2: 1 | t^2-2*t+2\n2x2: t^6-2*t^4-t^2+2 | 1\n1x1: 0\n1x1: 0"),
+])
+def test_skew_pivot_keeps_the_text(kind, p, n, eps, seed, text):
+    T, A = _pool_form(kind, p, n, eps, seed)
+    cert, cb = canonicalize(A, eps)
+    cert.check(A)
+    assert cb.serialize(T) == f"p = {p}\nepsilon = {eps:+d}\nn = {n}\n{text}"
+
+
 # ---------------- serialization ----------------
 
 def test_canonical_blocks_serialize():

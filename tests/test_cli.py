@@ -110,6 +110,26 @@ def test_generator_lines_stop_at_the_level_cap(tmp_path):
     assert "generator u8: a problem file may name at most 7 tower levels" in err
 
 
+def test_an_entry_names_a_level_without_its_generator_line(tmp_path):
+    """The levels are fixed by p, so u1 needs no generator line, and a file
+    naming u8 is refused at the level cap before the tower grows."""
+    bare = tmp_path / "bare.prob"
+    bare.write_text("p = 5\nepsilon = +1\nn = 1\nA = [ [ u1 ] ]\n")
+    lined = tmp_path / "lined.prob"
+    lined.write_text("p = 5\nepsilon = +1\nn = 1\n# generator u1: u1^2+3 = 0\n"
+                     "A = [ [ u1 ] ]\n")
+    for command in ("invariants", "canonical"):
+        outs = [run_cli([command, str(path)]) for path in (bare, lined)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+    deep = tmp_path / "deep.prob"
+    deep.write_text("p = 5\nepsilon = +1\nn = 1\nA = [ [ u8 ] ]\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(["invariants", str(deep)])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "u8: a problem file may name at most 7 tower levels" in err
+
+
 def test_invariants_command(prob_file):
     code, out, _ = run_cli(["invariants", prob_file])
     assert code == 0
@@ -263,6 +283,19 @@ def test_library_certificate_failure_exits_1(prob_file, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "certificate verification FAILED" in err
     assert "Traceback" not in err
+
+
+def test_reduction_failure_exits_1_in_one_line(prob_file, monkeypatch, capsys):
+    from starform import cli
+    from starform.congruence import ReductionError
+
+    def failing(A, eps):
+        raise ReductionError("skew pivot: y = 0 in every direction of f2")
+
+    monkeypatch.setattr(cli, "canonicalize", failing)
+    assert main(["canonical", prob_file]) == 1
+    err = capsys.readouterr().err
+    assert err == "reduction failed: skew pivot: y = 0 in every direction of f2\n"
 
 
 def test_congruent_command(tmp_path):

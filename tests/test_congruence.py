@@ -15,6 +15,7 @@ from starform.polymat import (HERMITIAN, SKEW, PolyMatrix, determinant,
                               form_kind, form_value, gcd_of_matrix,
                               invariant_factors, smith_form)
 from starform import congruence
+from starform.canonical import canonicalize
 from starform.congruence import (ReductionError, block_swap, compress_form,
                                  her2_diagonalize, isotropic_vector,
                                  represent_one, sk2_zero_diagonal, sk_split,
@@ -359,6 +360,30 @@ def test_sk_split_random_n4():
         # invariant factors preserved by the split
         assert invariant_factors(res.cert.B) == invariant_factors(A)
         done += 1
+
+
+def test_smith_pivot_names_a_window_with_no_direction(monkeypatch):
+    """The skew window of scrambled (3, 5, +1) seed 10 has y = 0 in its
+    first direction with f_d = f2.  With the later directions hidden, the
+    pivot construction raises ReductionError and names the case."""
+    inst = generate(RandomSpec(seed=10, p=3, n=5, eps=HERMITIAN,
+                               max_degree=6, moves=6))
+    windows = []
+    build = congruence._smith_pivot
+    monkeypatch.setattr(congruence, "_smith_pivot",
+                        lambda B, p: windows.append((B, p)) or build(B, p))
+    canonicalize(inst.A, HERMITIAN)
+    B, p = windows[0]
+    smith = congruence.smith_form
+
+    def first_direction_only(A):
+        sf = smith(A)
+        sf.factors = sf.factors[:2] + (StarPoly.zero(A.tower),) * (A.rows - 2)
+        return sf
+
+    monkeypatch.setattr(congruence, "smith_form", first_direction_only)
+    with pytest.raises(ReductionError, match="y = 0 in every direction of f2"):
+        build(B, p)
 
 
 # ---------------- block swap ----------------

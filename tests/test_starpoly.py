@@ -422,6 +422,21 @@ def test_half_split_grows_quadratic_levels(p, base, d):
             assert T.describe_levels() == fixed.describe_levels()
 
 
+@pytest.mark.parametrize("p, h, w, levels", [
+    (5, "t^2+2", "t+(2*u1)", ["u1: u1^2+3 = 0"]),
+    (3, "t^2+1", "t+(u1)", ["u1: u1^2+1 = 0"]),
+    (5, "t^2+1", "t+2", []),
+])
+def test_half_split_of_degree_two_is_closed_form(p, h, w, levels):
+    """t^2 + c splits as t -/+ sqrt(-c), the member with the smaller key,
+    with no random draw: the tower's random state is left as it was."""
+    T = Tower(p)
+    state = T.rng.getstate()
+    assert format_poly(_half_split(parse_poly(h, T))) == w
+    assert T.describe_levels() == levels
+    assert T.rng.getstate() == state
+
+
 def test_solve_norm_equation_examples():
     T = T5()
     t = StarPoly.t(T)
