@@ -243,9 +243,11 @@ def assemble_canonical(fs: FactorSequence) -> Tuple[CanonicalBlocks, PolyMatrix]
 # canonicalization
 # ---------------------------------------------------------------------------
 
-def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, List]:
+def _core(A: PolyMatrix, eps: int,
+          factors: Optional[Sequence[StarPoly]] = None) -> Tuple[PolyMatrix, List]:
     """(S, blocks) for A with A* = eps A, unchecked: S* A S is the ordered
-    direct sum of the canonical blocks, zero blocks last.
+    direct sum of the canonical blocks, zero blocks last.  ``factors`` are
+    the invariant factors of A, when the caller has them already.
 
     One loop over a trailing window W of S* A S, which starts after the zero
     block of ``kernel_split``.  (1) (+) M has invariant factors (1, inv M)
@@ -257,7 +259,9 @@ def _core(A: PolyMatrix, eps: int) -> Tuple[PolyMatrix, List]:
     leaves the rest, times fs[i], as the next W."""
     T = A.tower
     n = A.rows
-    fs = [f for f in invariant_factors(A) if not f.is_zero()]
+    if factors is None:
+        factors = invariant_factors(A)
+    fs = [f for f in factors if not f.is_zero()]
     k = n - len(fs)
     if k:
         # ks.S* A ks.S = 0_k (+) W
@@ -323,11 +327,12 @@ def are_congruent(A: PolyMatrix, A2: PolyMatrix, eps: int,
         kind = form_kind(M)
         if kind is None or (not M.is_zero() and kind != eps):
             raise ValueError("inputs are not eps-forms of the stated kind")
-    same = invariant_factors(A) == invariant_factors(A2)
+    fs1, fs2 = invariant_factors(A), invariant_factors(A2)
+    same = fs1 == fs2
     if not same or not want_certificate:
         return same, None
-    S1, blocks1 = _core(A, eps)
-    S2, blocks2 = _core(A2, eps)
+    S1, blocks1 = _core(A, eps, fs1)
+    S2, blocks2 = _core(A2, eps, fs2)
     if blocks1 != blocks2:
         raise CertificateError("canonical forms of equivalent matrices differ")
     cert = Certificate(S1 @ inverse(S2), A2)

@@ -7,11 +7,15 @@ Matrices are immutable; all operations are exact.
 
 The Smith loop and the fraction-free determinant run on the tower kernel's
 coefficient lists, not on StarPolys: they find the highest coefficient level
-of the matrix once, and run the whole elimination on int lists mod p at
-level 0, or on FieldElem lists above it (``_Lists``).  StarPolys are built
-only for the returned entries.  Matrix products and transvections still go
-through ``Tower.poly_dot``, which finds the level on every call once the
-tower has grown.
+of the matrix once (no scan while the tower has not grown), and run the
+whole elimination on int lists mod p at level 0, or on FieldElem lists
+above it (``_Lists``).  StarPolys are built only for the returned entries.
+Every elementary move, a row or column operation of the Smith loop, a
+transvection, a column reduction or a step of unimodular completion, is one
+fused multiply-add, ``Tower.poly_axpy`` or its int body ``_Lists.axpy``;
+matrix products go through ``Tower.poly_dot``.  Both find the level on
+every call once the tower has grown.  ``form_kind`` compares coefficient
+slices, and negates them by residue while the tower has not grown.
 """
 
 from __future__ import annotations
@@ -152,33 +156,42 @@ def _add_mul(e: StarPoly, c, f: StarPoly) -> StarPoly:
     """e + c f in one kernel call, for a coefficient list c: the update of
     transvections and column reductions."""
     T = e.tower
-    return StarPoly(T, T.poly_dot((((T.one,), e.coeffs), (c, f.coeffs))))
+    return StarPoly(T, T.poly_axpy(e.coeffs, c, f.coeffs))
+
+
+def _above_fp(A: PolyMatrix) -> bool:
+    """Whether an entry of A has a coefficient above level 0; nothing lies
+    above F_p until the tower grows."""
+    return bool(A.tower.levels) and any(
+        c.level for row in A.entries for e in row for c in e.coeffs)
 
 
 class _Lists:
     """The entries of a matrix as the kernel's coefficient lists, with the
     kernel that runs on them, chosen once from the highest level of the
-    entries.  At level 0 the lists hold ints mod p and ``dot`` and
-    ``divmod`` are the tower's int kernel; above, they hold FieldElems and
-    the element-list kernel dispatches per call.  Elimination never takes an
-    entry above the level of its matrix, so the choice holds for a whole
-    loop, and ``poly`` builds StarPolys only for the returned entries."""
+    entries.  At level 0 the lists hold ints mod p and ``dot``, ``axpy``
+    and ``divmod`` are the tower's int kernel; above, they hold FieldElems
+    and the element-list kernel dispatches per call.  Elimination never
+    takes an entry above the level of its matrix, so the choice holds for a
+    whole loop, and ``poly`` builds StarPolys only for the returned
+    entries."""
 
-    __slots__ = ("rows", "dot", "divmod", "neg", "one", "poly")
+    __slots__ = ("rows", "dot", "axpy", "divmod", "neg", "one", "poly")
 
     def __init__(self, A: PolyMatrix):
         T = A.tower
         E = A.entries
-        if any(c.level for row in E for e in row for c in e.coeffs):
-            self.rows = [[e.coeffs for e in row] for row in E]
-            self.dot, self.divmod, self.neg = T.poly_dot, T.poly_divmod, T.poly_neg
+        if _above_fp(A):
+            self.rows = [[list(e.coeffs) for e in row] for row in E]
+            self.dot, self.axpy = T.poly_dot, T.poly_axpy
+            self.divmod, self.neg = T.poly_divmod, T.poly_neg
             self.one = [T.one]
             self.poly = lambda f: StarPoly(T, f)
         else:
             self.rows = [[[c.rep for c in e.coeffs] for e in row] for row in E]
-            dot, minus_one, elem = T._int_dot, [T.p - 1], T.elem
-            self.dot, self.divmod = dot, T._int_divmod
-            self.neg = lambda f: dot(((minus_one, f),))
+            p, elem = T.p, T.elem
+            self.dot, self.axpy, self.divmod = T._int_dot, T._int_axpy, T._int_divmod
+            self.neg = lambda f: [p - x if x else 0 for x in f]
             self.one = [1]
             self.poly = lambda f: StarPoly(T, [elem(v) for v in f])
 
@@ -189,29 +202,34 @@ def form_kind(A: PolyMatrix) -> Optional[int]:
     """+1 for hermitian, -1 for skew-hermitian, None for neither.
 
     The zero matrix is both; hermitian is reported.  Compares A[j][i] with
-    A[i][j]* and -A[i][j]* over i <= j, coefficient by coefficient (the t^k
-    coefficient of a* is (-1)^k a_k), dropping each kind at its first
-    mismatch.
+    A[i][j]* and -A[i][j]* over i <= j, where the t^k coefficient of a* is
+    (-1)^k a_k: the even and the odd coefficients each as one slice, one of
+    them negated, and drops each kind at its first mismatch.
     """
     if not A.is_square():
         return None
+    T = A.tower
+    if T.levels:
+        neg = T.poly_neg
+    else:  # level-0 elements are shared, one per residue: negate by index
+        cache = T._fp_cache
+        neg = lambda f: [cache[-x.rep] for x in f]
     E = A.entries
-    neg = A.tower.neg
     herm = skew = True
     for i, row in enumerate(E):
         for j in range(i, A.cols):
             a, b = row[j].coeffs, E[j][i].coeffs
             if len(a) != len(b):
                 return None
-            for k, (x, y) in enumerate(zip(a, b)):
-                # hermitian: y = x at even k, y = -x at odd k; skew: the
-                # other way round
-                if herm and not (y == neg(x) if k & 1 else y is x or y == x):
-                    herm = False
-                if skew and not (y is x or y == x if k & 1 else y == neg(x)):
-                    skew = False
-                if not (herm or skew):
-                    return None
+            if not a:
+                continue
+            # hermitian: b = a at even k, b = -a at odd k; skew: the other
+            # way round
+            even, odd = a[::2], a[1::2]
+            herm = herm and b[::2] == even and list(b[1::2]) == neg(odd)
+            skew = skew and b[1::2] == odd and list(b[::2]) == neg(even)
+            if not (herm or skew):
+                return None
     return HERMITIAN if herm else SKEW
 
 
@@ -323,7 +341,7 @@ def _smith(A: PolyMatrix, track: bool):
     outside rows and columns >= k: M is updated there alone, and zero
     entries of the pivot row or column are skipped."""
     K = _Lists(A)
-    dot, divmod_, neg, one = K.dot, K.divmod, K.neg, K.one
+    axpy, divmod_, neg, one = K.axpy, K.divmod, K.neg, K.one
     m, n = A.rows, A.cols
     M = K.rows
     U = V = None
@@ -335,17 +353,17 @@ def _smith(A: PolyMatrix, track: bool):
         Mi, Mj = M[i], M[j]
         for col in range(k, n):
             if Mj[col]:
-                Mi[col] = dot(((one, Mi[col]), (c, Mj[col])))
+                Mi[col] = axpy(Mi[col], c, Mj[col])
         if track:
             Ui, Uj = U[i], U[j]
             for col in range(m):
                 if Uj[col]:
-                    Ui[col] = dot(((one, Ui[col]), (c, Uj[col])))
+                    Ui[col] = axpy(Ui[col], c, Uj[col])
 
     def col_op(i, j, c, k):  # col_i += c * col_j  (on M from row k, and V)
         for R in M[k:] + V if track else M[k:]:
             if R[j]:
-                R[i] = dot(((one, R[i]), (c, R[j])))
+                R[i] = axpy(R[i], c, R[j])
 
     def row_swap(i, j):
         M[i], M[j] = M[j], M[i]
@@ -389,6 +407,8 @@ def _smith(A: PolyMatrix, track: bool):
                         dirty = True
             if dirty:
                 continue
+            if len(pk) == 1:  # a unit divides every entry
+                break
             # enforce divisibility of the remaining block by the pivot
             culprit = None
             for i in range(k + 1, m):
@@ -498,15 +518,16 @@ class Reduction:
     Elementary moves update only the touched rows/columns instead of doing
     full matrix products."""
 
-    __slots__ = ("A0", "S", "B")
+    __slots__ = ("A0", "S", "B", "_identity")
 
     def __init__(self, A: PolyMatrix):
         self.A0 = A
-        self.S = PolyMatrix.identity(A.tower, A.rows)
+        self.S = self._identity = PolyMatrix.identity(A.tower, A.rows)
         self.B = A
 
     def apply(self, M: PolyMatrix) -> None:
-        self.S = self.S @ M
+        # I M = M: while no move has replaced the identity, S takes M itself
+        self.S = M if self.S is self._identity else self.S @ M
         self.B = (M.star_transpose() @ self.B) @ M
 
     def transvection(self, i: int, j: int, x: StarPoly) -> None:

@@ -10,6 +10,7 @@ grow the underlying tower.
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple
 
 from .tower import FieldElem, Tower
@@ -559,6 +560,9 @@ def format_poly(a: StarPoly) -> str:
     return "".join(parts)
 
 
+_TOKENS = re.compile(r"\d+|.")
+
+
 class _Parser:
     """Recursive descent over the entry grammar, whitespace dropped first:
 
@@ -568,89 +572,90 @@ class _Parser:
         atom   := ( expr ) | uK | int
 
     Integers are reduced mod p and uK is the generator of tower level K.
-    Values are the tower kernel's trimmed coefficient lists: t^k is built as
-    the list [0]*k + [1], so a term c*t^k costs one product by a constant,
-    and ^ on any other atom squares and multiplies (StarPoly.__pow__)."""
+    The text is split once into tokens, a run of digits or one other
+    character, and ``""`` ends them; an error names the offset of its token
+    in the text.  Values are the tower kernel's trimmed coefficient lists:
+    t^k is built as the list [0]*k + [1], so a term c*t^k costs one product
+    by a constant, and ^ on any other atom squares and multiplies
+    (StarPoly.__pow__)."""
 
     def __init__(self, text: str, tower: Tower):
         self.text = "".join(text.split())
-        self.pos = 0
+        self.tokens = _TOKENS.findall(self.text) + [""]
+        self.i = 0
         self.tower = tower
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch):
-        if self.peek() != ch:
-            raise ValueError(f"expected '{ch}' at {self.pos} in {self.text!r}")
-        self.pos += 1
+    def error(self, what: str) -> ValueError:
+        pos = sum(map(len, self.tokens[:self.i]))
+        return ValueError(f"{what} at {pos} in {self.text!r}")
 
     def parse(self) -> StarPoly:
         value = self.expr()
-        if self.pos != len(self.text):
-            raise ValueError(f"trailing input at {self.pos} in {self.text!r}")
+        if self.tokens[self.i]:
+            raise self.error("trailing input")
         return StarPoly(self.tower, value)
 
     def expr(self) -> List[FieldElem]:
-        T = self.tower
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
+        T, toks = self.tower, self.tokens
+        op = toks[self.i]
+        if op == "+" or op == "-":
+            self.i += 1
         value = self.term()
-        if sign < 0:
+        if op == "-":
             value = T.poly_neg(value)
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
+        op = toks[self.i]
+        while op == "+" or op == "-":
+            self.i += 1
             rhs = self.term()
-            value = T.poly_sub(value, rhs) if op == "-" else T.poly_add(value, rhs)
+            value = T.poly_add(value, rhs) if op == "+" else T.poly_sub(value, rhs)
+            op = toks[self.i]
         return value
 
     def term(self) -> List[FieldElem]:
         value = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
+        while self.tokens[self.i] == "*":
+            self.i += 1
             value = self.tower.poly_mul(value, self.factor())
         return value
 
     def factor(self) -> List[FieldElem]:
-        T = self.tower
-        if self.peek() == "t":
-            self.pos += 1
+        T, toks = self.tower, self.tokens
+        if toks[self.i] == "t":
+            self.i += 1
             k = 1
-            if self.peek() == "^":
-                self.pos += 1
+            if toks[self.i] == "^":
+                self.i += 1
                 k = self.integer()
             return [T.zero] * k + [T.one]
         value = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
+        if toks[self.i] == "^":
+            self.i += 1
             value = list((StarPoly(T, value) ** self.integer()).coeffs)
         return value
 
     def atom(self) -> List[FieldElem]:
         T = self.tower
-        ch = self.peek()
-        if ch == "(":
-            self.take("(")
+        tok = self.tokens[self.i]
+        if tok == "(":
+            self.i += 1
             value = self.expr()
-            self.take(")")
+            if self.tokens[self.i] != ")":
+                raise self.error("expected ')'")
+            self.i += 1
             return value
-        if ch == "u":
-            self.pos += 1
+        if tok == "u":
+            self.i += 1
             return [T.generator(self.integer())]
-        if ch.isdigit():
+        if tok.isdecimal():
             return T.poly_trim([T.elem(self.integer())])
-        raise ValueError(f"unexpected character {ch!r} at {self.pos} in {self.text!r}")
+        raise self.error(f"unexpected character {tok!r}")
 
     def integer(self) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ValueError(f"expected integer at {start} in {self.text!r}")
-        return int(self.text[start:self.pos])
+        tok = self.tokens[self.i]
+        if not tok.isdecimal():
+            raise self.error("expected integer")
+        self.i += 1
+        return int(tok)
 
 
 def parse_poly(text: str, tower: Tower) -> StarPoly:

@@ -23,9 +23,11 @@ root sqrt(a / c_(b+1)) u_(b+1), which grows level b + 1 when b is the top.
 
 The Tower also owns the one polynomial kernel of the package: the
 ``poly_*`` methods add, multiply, divide, take gcds and modular powers of
-coefficient lists (trimmed; zero is ``[]``), and ``poly_dot`` sums the
+coefficient lists (trimmed; zero is ``[]``); ``poly_dot`` sums the
 products of a list of pairs, the kernel of matrix products, matrix-vector
-products, form values and determinants.  Root finding and factoring here,
+products, form values and determinants; and ``poly_axpy`` is the fused
+f + c g of every elementary move of elimination, transvections and column
+reductions.  Root finding and factoring here,
 and ``StarPoly`` and ``PolyMatrix`` arithmetic, run on it.  Field
 operations and each kernel call dispatch once on the highest level
 involved, to one of two branches:
@@ -45,13 +47,13 @@ involved, to one of two branches:
   255 products before the packed accumulators are reduced mod p; every
   prime takes this one branch.
 
-The level-0 branch runs on int lists mod p (``_int_dot``, ``_int_divmod``),
-and the element-list kernel converts to them and back.  A tower that has
-not grown holds only level-0 elements, so there the kernel skips the scan
-for the highest level.  The elimination
-loops of ``polymat`` (Smith form, determinant) find the level of a matrix
-once and, at level 0, call these int bodies directly for the whole loop;
-above level 0 they run on element lists through the per-call dispatch.
+The level-0 branch runs on int lists mod p (``_int_dot``, ``_int_axpy``,
+``_int_divmod``), and the element-list kernel converts to them and back.
+A tower that has not grown holds only level-0 elements, so there the
+kernel skips the scan for the highest level.  The elimination loops of
+``polymat`` (Smith form, determinant) find the level of a matrix once and,
+at level 0, call these int bodies directly for the whole loop; above
+level 0 they run on element lists through the per-call dispatch.
 
 An extension-level inverse is taken by the norm,
 (a0 + a1 u)^-1 = (a0 - a1 u) / (a0^2 - c a1^2), with one inverse one level
@@ -625,6 +627,44 @@ class Tower:
         out = [self._from_packed(lv, ff, v) for v in self._packed_dot(live, ff)]
         return self.poly_trim(out)
 
+    def poly_axpy(self, f, c, g) -> List[FieldElem]:
+        """The trimmed f + c g: the elementary move of eliminations,
+        transvections and column reductions, one kernel call with one
+        dispatch.  At level 0 it runs on int lists (``_int_axpy``); above,
+        it is ``poly_dot`` of the pairs (1, f) and (c, g)."""
+        if not c or not g:
+            return list(f)
+        lv = 0
+        if self.levels:  # nothing lies above F_p until the tower grows
+            for h in (f, c, g):
+                for x in h:
+                    if x.level > lv:
+                        lv = x.level
+        if lv == 0:
+            cache = self._fp_cache
+            return [cache[v] for v in self._int_axpy(
+                [x.rep for x in f], [x.rep for x in c], [x.rep for x in g])]
+        ff = self._flat(lv)
+        pairs = (((self.one,), f), (c, g)) if f else ((c, g),)
+        out = [self._from_packed(lv, ff, v) for v in self._packed_dot(pairs, ff)]
+        return self.poly_trim(out)
+
+    def _int_axpy(self, f: List[int], c: List[int], g: List[int]) -> List[int]:
+        """poly_axpy on int lists mod p: the trimmed, reduced f + c g,
+        accumulated on a copy of f."""
+        acc = list(f)
+        n = len(c) + len(g) - 1
+        if len(acc) < n:
+            acc.extend([0] * (n - len(acc)))
+        for i, x in enumerate(c):
+            if x:
+                for j, y in enumerate(g, i):
+                    acc[j] += x * y
+        p = self.p
+        while acc and not acc[-1] % p:
+            acc.pop()
+        return [v % p for v in acc]
+
     def _int_dot(self, pairs) -> List[int]:
         """poly_dot on int lists mod p (a nonempty list of pairs, which may
         hold empty lists): the trimmed, reduced sum of the products f_i g_i,
@@ -646,6 +686,8 @@ class Tower:
         p = self.p
         n = len(b)
         binv = pow(b[-1], p - 2, p)
+        if n == 1:  # a constant divides in one pass, with no remainder
+            return [(x * binv) % p for x in a], []
         r = list(a)
         q = [0] * (len(a) - n + 1)
         for k in range(len(q) - 1, -1, -1):

@@ -297,6 +297,33 @@ def test_each_window_is_reduced_once(monkeypatch):
     assert calls == {"invariant_factors": 1, "compress_form": 2, "gcd_of_matrix": 0}
 
 
+def test_certified_decision_takes_each_smith_form_once(monkeypatch):
+    """are_congruent with a certificate hands the invariant factors it
+    compared to the canonicalizer: one invariant_factors call per form,
+    on nonsingular, singular and skew pairs."""
+    from starform import canonical, congruence, polymat
+    calls = []
+    orig = polymat.invariant_factors
+
+    def counted(A):
+        calls.append(A)
+        return orig(A)
+    for mod in (canonical, congruence, polymat):
+        monkeypatch.setattr(mod, "invariant_factors", counted)
+    T = Tower(5)
+    forms = [(M([["t^2+1", "t"], ["-t", "2"]], T), HERMITIAN),
+             (M([["1", "t"], ["-t", "-t^2"]], T), HERMITIAN),
+             (M([["0", "t^2+1", "0"], ["-t^2-1", "0", "t"], ["0", "t", "t^3"]], T),
+              SKEW)]
+    for A, eps in forms:
+        red = Reduction(A)
+        red.transvection(0, 1, StarPoly.t(T) + StarPoly.one(T))
+        del calls[:]
+        same, cert = are_congruent(A, red.B, eps, want_certificate=True)
+        assert same and cert.verify(A)
+        assert calls == [A, red.B]
+
+
 def test_are_congruent_factor_mismatch():
     T = Tower(5)
     A = M([["1", "0"], ["0", "t^2-1"]], T)

@@ -160,6 +160,64 @@ def test_form_kind_compares_entries():
             assert form_kind(B) is None
 
 
+def _in_towers(p, rows):
+    """The matrix of ``rows`` in a fresh tower and in one grown a level."""
+    grown = Tower(p)
+    grown.grow()
+    return [PolyMatrix(T, [[StarPoly.from_ints(T, e) for e in row] for row in rows])
+            for T in (Tower(p), grown)]
+
+
+def test_form_kind_level0_matches_element_branch():
+    """form_kind on a level-0 matrix in a fresh tower, where it negates by
+    residue, agrees with the same matrix in a tower grown a level, where it
+    negates elements, and with the definition: hermitian, skew and neither
+    forms, and forms with one coefficient changed."""
+    rng = random.Random(41)
+    for trial in range(120):
+        p = rng.choice([3, 5, 7])
+        n = rng.randint(1, 4)
+        eps = rng.choice([HERMITIAN, SKEW])
+        A = rand_eps_form(Tower(p), rng, n, eps, 4)
+        rows = [[[c.rep for c in e.coeffs] for e in row] for row in A.entries]
+        if trial % 3 == 1:  # one coefficient changed
+            e = rows[rng.randrange(n)][rng.randrange(n)]
+            if e:
+                k = rng.randrange(len(e))
+                e[k] = (e[k] + rng.randrange(1, p)) % p
+        elif trial % 3 == 2:
+            rows = [[[rng.randrange(p) for _ in range(rng.randint(0, 3))]
+                     for _ in range(n)] for _ in range(n)]
+        fresh, grown = _in_towers(p, rows)
+        assert form_kind(fresh) == form_kind(grown) == _form_kind_by_definition(fresh)
+
+
+def test_level0_elimination_matches_element_branch(monkeypatch):
+    """smith_form, invariant_factors and determinant of level-0 matrices
+    give the same results on int lists as on element lists: square and
+    rectangular, singular (a repeated row), and with a constant pivot."""
+    from starform import polymat
+    rng = random.Random(43)
+    for _ in range(80):
+        p = rng.choice([3, 5, 7])
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[[rng.randrange(p) for _ in range(rng.randint(0, 4))]
+                 for _ in range(n)] for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:
+            rows[-1] = rows[0]
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)][0] = [rng.randrange(1, p)]
+        for A in _in_towers(p, rows):
+            def results():
+                sf = smith_form(A)
+                det = determinant(A) if A.is_square() else None
+                return sf.U, sf.V, sf.D, sf.factors, invariant_factors(A), det
+            want = results()
+            with monkeypatch.context() as mp:
+                mp.setattr(polymat, "_above_fp", lambda A: True)
+                assert results() == want
+
+
 def test_form_value_examples():
     T = Tower(5)
     A = PolyMatrix.identity(T, 2)
@@ -476,10 +534,12 @@ good_bezout = starpoly.gcd_bezout
 starpoly.gcd_bezout = lambda a, b: (StarPoly.t(a.tower), a, b)
 report(lambda: starpoly.solve_norm_equation(StarPoly.one(T), StarPoly.const(T, 2), "+"))
 starpoly.gcd_bezout = good_bezout
-# a kernel that drops every product after the first
+# a kernel that drops every product after the first, in its dot and in
+# its fused multiply-add, f + c g taken as the dot of (1, f) and (c, g)
 T = Tower(5)
 good_dot = T.poly_dot
 T.poly_dot = lambda pairs: good_dot(list(pairs)[:1])
+T.poly_axpy = lambda f, c, g: list(f)
 report(lambda: polymat.unimodular_completion(
     [parse_poly(e, T) for e in ("t", "t+1", "t^2")]))
 # a scrambling that leaves the eps-form class
@@ -513,6 +573,28 @@ def test_reduction_identity_move():
     red = Reduction(A)
     red.apply(PolyMatrix.identity(T, 2))
     assert red.B == A and red.S == PolyMatrix.identity(T, 2)
+
+
+def test_reduction_first_move_takes_the_matrix():
+    """A fresh reduction's first apply takes S = M with no product by the
+    identity; after any other move, or an S set by hand, apply multiplies."""
+    T = Tower(5)
+    A = M([["0", "t"], ["-t", "t^3"]], T)
+    X = M([["1", "t"], ["0", "1"]], T)
+    red = Reduction(A)
+    red.apply(X)
+    assert red.S is X and red.B == (X.star_transpose() @ A) @ X
+    red.apply(X)
+    assert red.S == X @ X
+    red = Reduction(A)
+    red.transvection(1, 0, StarPoly.one(T))
+    S1 = red.S
+    red.apply(X)
+    assert red.S == S1 @ X
+    red = Reduction(A)
+    red.S = X
+    red.apply(X)
+    assert red.S == X @ X
 
 
 def test_reduction_single_transvection_matches_direct():

@@ -172,6 +172,45 @@ def test_poly_dot_matches_schoolbook():
             assert T.poly_dot(pairs) == want
 
 
+def test_poly_axpy_matches_add_mul():
+    """poly_axpy(f, c, g) against poly_add(f, poly_mul(c, g)) at levels 0, 1
+    and 2: an empty c or g, a top coefficient that cancels, a sum that
+    cancels to zero, and factors longer than ``_flat(lv).max_pairs``."""
+    rng = random.Random(29)
+    grown = Tower(5)
+    grown.grow()
+    deep = Tower(3)
+    deep.grow()
+    deep.grow()
+    for T, lv in ((Tower(5), 0), (grown, 1), (deep, 2)):
+        def rand(maxdeg, level=None):
+            f = [T.random_element(rng.randint(0, lv) if level is None else level, rng)
+                 for _ in range(rng.randint(0, maxdeg + 1))]
+            return _school_trim(f)
+
+        def want(f, c, g):
+            return T.poly_add(f, T.poly_mul(c, g))
+        for trial in range(60):
+            f, c, g = rand(6), rand(3), rand(4)
+            assert T.poly_axpy(f, c, g) == want(f, c, g)
+            assert T.poly_axpy(f, [], g) == T.poly_axpy(f, c, []) == f
+            if c and g:
+                # f's top coefficient cancels that of c g, or all of it
+                cg = T.poly_mul(c, g)
+                f = [T.neg(x) for x in cg]
+                assert T.poly_axpy(f, c, g) == []
+                f[0] = T.add(f[0], T.one)
+                assert T.poly_axpy(f, c, g) == want(f, c, g) == [T.one]
+                h = rand(len(cg) - 1)
+                f = T.poly_sub(h, cg)
+                assert T.poly_axpy(f, c, g) == h
+        # every slot of c g takes more products than it holds unreduced
+        n = T._flat(lv).max_pairs + 2 if lv else 300
+        top = _largest(T, lv)
+        f, c, g = [top] * n, [top] * n, [top] * n
+        assert T.poly_axpy(f, c, g) == want(f, c, g)
+
+
 def test_packed_divmod():
     """q g + r = f with deg r < deg g, for monic and non-monic divisors, and
     a quotient long enough to need the reductions of the packed remainder."""
@@ -601,6 +640,22 @@ def test_parse_term_costs_one_product_per_star(monkeypatch):
     a = parse_poly(text, T)
     assert len(calls) <= text.count("*") == 2
     assert a == StarPoly.from_ints(T, [2] + [0] * 4 + [4] + [0] * 14 + [3] + [0] * 16 + [4])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2*", "unexpected character '' at 2 in '2*'"),
+    ("t^", "expected integer at 2 in 't^'"),
+    ("(t+1", "expected ')' at 4 in '(t+1'"),
+    ("u", "expected integer at 1 in 'u'"),
+    ("3t", "trailing input at 1 in '3t'"),
+    ("t + 1 )", "trailing input at 3 in 't+1)'"),
+])
+def test_parse_error_names_the_offset(text, message):
+    """A malformed entry raises a ValueError naming the offset of the first
+    token the grammar cannot take, in the text without its whitespace."""
+    with pytest.raises(ValueError) as err:
+        parse_poly(text, T5())
+    assert str(err.value) == message
 
 
 def test_parse_rejects_garbage():
