@@ -10,12 +10,18 @@ coefficient lists, not on StarPolys: they find the highest coefficient level
 of the matrix once (no scan while the tower has not grown), and run the
 whole elimination on int lists mod p at level 0, or on FieldElem lists
 above it (``_Lists``).  StarPolys are built only for the returned entries.
-Every elementary move, a row or column operation of the Smith loop, a
-transvection, a column reduction or a step of unimodular completion, is one
-fused multiply-add, ``Tower.poly_axpy`` or its int body ``_Lists.axpy``;
-matrix products go through ``Tower.poly_dot``.  Both find the level on
-every call once the tower has grown.  ``form_kind`` compares coefficient
-slices, and negates them by residue while the tower has not grown.
+Each clearing step of the Smith loop divides once and keeps the remainder
+as the cleared entry.  ``invariant_factors`` runs the loop without the
+divisibility sweep and, when the diagonal it leaves is not a chain, makes
+it one by a gcd/lcm pass; ``smith_form`` keeps the sweep, which its U and V
+record.  Every elementary move, a row or column operation of the Smith
+loop, a transvection, a column reduction or a step of unimodular
+completion, is one fused multiply-add, ``Tower.poly_axpy`` or its int body
+``_Lists.axpy``; ``poly_axpy`` finds the level on every call once the tower
+has grown.  Matrix products (``@``, ``mul_window``, ``Reduction.embed``)
+find the level once per product and, over F_p, run ``Tower._int_dot`` on
+int lists.  ``form_kind`` compares coefficient slices, and negates them by
+residue while the tower has not grown.
 """
 
 from __future__ import annotations
@@ -117,11 +123,8 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         T = self.tower
-        dot = T.poly_dot
-        ocols = [[b.coeffs for b in col] for col in zip(*other.entries)]
-        rows = [[a.coeffs for a in row] for row in self.entries]
-        return PolyMatrix(T, [[StarPoly(T, dot(zip(row, col))) for col in ocols]
-                              for row in rows])
+        return PolyMatrix(T, _products(T, self.entries, zip(*other.entries),
+                                       _above_fp(self) or _above_fp(other)))
 
     def scale(self, c: StarPoly) -> "PolyMatrix":
         return PolyMatrix(self.tower, [[c * a for a in row] for row in self.entries])
@@ -166,6 +169,35 @@ def _above_fp(A: PolyMatrix) -> bool:
         c.level for row in A.entries for e in row for c in e.coeffs)
 
 
+def _int_lists(rows) -> List[List[List[int]]]:
+    """Rows of StarPolys over F_p as rows of int coefficient lists."""
+    return [[[c.rep for c in e.coeffs] for e in row] for row in rows]
+
+
+def _products(T: Tower, rows, cols, above: bool) -> List[List[StarPoly]]:
+    """The entries sum_k rows[i][k] cols[j][k] of a product, for rows and
+    columns of StarPolys, the level found once by the caller: ``above``
+    when an entry lies above F_p.  Over F_p each entry is one ``_int_dot``
+    on int lists, over the pairs whose two sides are both nonzero; above,
+    one ``Tower.poly_dot``."""
+    if above:
+        dot = T.poly_dot
+        cols = [[e.coeffs for e in col] for col in cols]
+        return [[StarPoly(T, dot(zip(r, c))) for c in cols]
+                for r in ([e.coeffs for e in row] for row in rows)]
+    dot, cache = T._int_dot, T._fp_cache
+    zero = StarPoly.zero(T)
+    cols = _int_lists(cols)
+    out = []
+    for row in _int_lists(rows):
+        line = []
+        for col in cols:
+            pairs = [(f, g) for f, g in zip(row, col) if f and g]
+            line.append(StarPoly(T, [cache[v] for v in dot(pairs)]) if pairs else zero)
+        out.append(line)
+    return out
+
+
 class _Lists:
     """The entries of a matrix as the kernel's coefficient lists, with the
     kernel that runs on them, chosen once from the highest level of the
@@ -188,7 +220,7 @@ class _Lists:
             self.one = [T.one]
             self.poly = lambda f: StarPoly(T, f)
         else:
-            self.rows = [[[c.rep for c in e.coeffs] for e in row] for row in E]
+            self.rows = _int_lists(E)
             p, elem = T.p, T.elem
             self.dot, self.axpy, self.divmod = T._int_dot, T._int_axpy, T._int_divmod
             self.neg = lambda f: [p - x if x else 0 for x in f]
@@ -332,14 +364,18 @@ class SmithForm:
 
 
 def _smith(A: PolyMatrix, track: bool):
-    """The Smith elimination loop: (M, U, V, poly), with M, U, V row lists
-    of coefficient lists (``_Lists``) such that U A V = M is diagonal with a
-    monic divisibility chain, and ``poly`` building a StarPoly from one of
-    them.  U and V are None unless track.
+    """The Smith elimination loop: (K, U, V), with K the ``_Lists`` of A
+    turned into M = U A V, and U, V row lists of coefficient lists (None
+    unless track).  M is diagonal with monic nonzero entries, the zeros
+    last.  With track, the diagonal is a divisibility chain; without, the
+    loop skips the divisibility sweep and the chain is left to
+    ``invariant_factors``.
 
     Step k clears row and column k, so later operations only meet zeros
     outside rows and columns >= k: M is updated there alone, and zero
-    entries of the pivot row or column are skipped."""
+    entries of the pivot row or column are skipped.  Each clearing step
+    divides once: the move runs from column (or row) k + 1 on, and the
+    cleared entry takes the remainder of that division."""
     K = _Lists(A)
     axpy, divmod_, neg, one = K.axpy, K.divmod, K.neg, K.one
     m, n = A.rows, A.cols
@@ -395,19 +431,22 @@ def _smith(A: PolyMatrix, track: bool):
             pk = M[k][k]
             dirty = False
             for i in range(k + 1, m):
-                if M[i][k]:
-                    row_op(i, k, neg(divmod_(M[i][k], pk)[0]), k)
-                    if M[i][k]:
+                Mi = M[i]
+                if Mi[k]:
+                    q, Mi[k] = divmod_(Mi[k], pk)
+                    row_op(i, k, neg(q), k + 1)
+                    if Mi[k]:
                         dirty = True
             Mk = M[k]
             for j in range(k + 1, n):
                 if Mk[j]:
-                    col_op(j, k, neg(divmod_(Mk[j], pk)[0]), k)
+                    q, Mk[j] = divmod_(Mk[j], pk)
+                    col_op(j, k, neg(q), k + 1)
                     if Mk[j]:
                         dirty = True
             if dirty:
                 continue
-            if len(pk) == 1:  # a unit divides every entry
+            if not track or len(pk) == 1:  # a unit divides every entry
                 break
             # enforce divisibility of the remaining block by the pivot
             culprit = None
@@ -430,20 +469,43 @@ def _smith(A: PolyMatrix, track: bool):
             M[k][k] = divmod_(pk, lc)[0]
             if track:
                 U[k] = [divmod_(e, lc)[0] if e else e for e in U[k]]
-    return M, U, V, K.poly
+    return K, U, V
 
 
 def smith_form(A: PolyMatrix) -> SmithForm:
     T = A.tower
-    M, U, V, poly = _smith(A, True)
-    U, V, D = (PolyMatrix(T, [[poly(e) for e in row] for row in X]) for X in (U, V, M))
+    K, U, V = _smith(A, True)
+    poly = K.poly
+    U, V, D = (PolyMatrix(T, [[poly(e) for e in row] for row in X])
+               for X in (U, V, K.rows))
     return SmithForm(U, V, D, tuple(D.entries[i][i] for i in range(min(A.rows, A.cols))))
 
 
 def invariant_factors(A: PolyMatrix) -> Tuple[StarPoly, ...]:
-    """The diagonal of the Smith form, computed without U and V."""
-    M, _, _, poly = _smith(A, False)
-    return tuple(poly(M[i][i]) for i in range(min(A.rows, A.cols)))
+    """The diagonal of the Smith form, computed without U and V.
+
+    The untracked loop leaves a diagonal of monic entries, zeros last, that
+    need not be a divisibility chain.  When an adjacent link fails, one
+    pairwise pass replaces each (d_i, d_j), i < j, by (gcd, lcm), which
+    keeps the diagonal's Smith form and makes it a chain (M. Newman,
+    Integral Matrices, ch. II)."""
+    K, _, _ = _smith(A, False)
+    divmod_ = K.divmod
+    d = [K.rows[i][i] for i in range(min(A.rows, A.cols))]
+    r = sum(1 for e in d if e)
+    if any(len(a) > 1 and divmod_(b, a)[1] for a, b in zip(d[:r], d[1:r])):
+        for i in range(r):
+            for j in range(i + 1, r):
+                a, b = d[i], d[j]
+                if len(a) == 1:  # a unit divides the rest
+                    break
+                g, h = a, b
+                while h:
+                    g, h = h, divmod_(g, h)[1]
+                g = divmod_(g, [g[-1]])[0]
+                if len(g) < len(a):  # both monic: g = a when a divides b
+                    d[i], d[j] = g, K.dot([(divmod_(a, g)[0], b)])
+    return tuple(K.poly(e) for e in d)
 
 
 def inverse(S: PolyMatrix) -> PolyMatrix:
@@ -502,13 +564,12 @@ def mul_window(M: PolyMatrix, S_small: PolyMatrix, offset: int) -> List[list]:
     offset + k - 1 multiplied by the k x k matrix S_small, and the other
     columns kept."""
     T = M.tower
-    dot = T.poly_dot
     win = slice(offset, offset + S_small.rows)
-    cols = [[e.coeffs for e in col] for col in zip(*S_small.entries)]
     out = [list(row) for row in M.entries]
-    for row in out:
-        old = [e.coeffs for e in row[win]]
-        row[win] = [StarPoly(T, dot(zip(old, col))) for col in cols]
+    new = _products(T, [row[win] for row in out], zip(*S_small.entries),
+                    _above_fp(M) or _above_fp(S_small))
+    for row, line in zip(out, new):
+        row[win] = line
     return out
 
 
@@ -578,13 +639,11 @@ class Reduction:
     def embed(self, S_small: PolyMatrix, offset: int) -> None:
         """Apply I (+) S_small (+) I acting on the coordinate window."""
         T = self.B.tower
-        dot = T.poly_dot
         win = slice(offset, offset + S_small.rows)
         B = mul_window(self.B, S_small, offset)
         # then its window rows by S_small*
-        wcols = list(zip(*[[e.coeffs for e in row] for row in B[win]]))
-        srows = [[e.coeffs for e in row] for row in S_small.star_transpose().entries]
-        B[win] = [[StarPoly(T, dot(zip(r, c))) for c in wcols] for r in srows]
+        B[win] = _products(T, S_small.star_transpose().entries, zip(*B[win]),
+                           _above_fp(self.B) or _above_fp(S_small))
         self.B = PolyMatrix(T, B)
         self.S = PolyMatrix(T, mul_window(self.S, S_small, offset))
 
@@ -625,8 +684,7 @@ def unimodular_completion(v: Sequence[StarPoly]) -> PolyMatrix:
         for j in range(n):
             if j == piv or w[j].is_zero():
                 continue
-            q = w[j] // w[piv]
-            w[j] = w[j] - q * w[piv]
+            q, w[j] = divmod(w[j], w[piv])
             # row_j -= q row_piv on w; col_piv += q col_j on out
             for R in out:
                 if R[j].coeffs:

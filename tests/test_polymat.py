@@ -383,6 +383,130 @@ def test_invariant_factors_match_smith_form():
                 assert fs[-1].is_zero(), label
 
 
+def _diag(T, entries, rows=None, cols=None):
+    """The matrix with the given diagonal (entries parsed over T), zero
+    elsewhere, of size rows x cols (square by default)."""
+    rows = rows or len(entries)
+    cols = cols or rows
+    return PolyMatrix(T, [[parse_poly(entries[i], T) if i == j and i < len(entries)
+                           else StarPoly.zero(T) for j in range(cols)]
+                          for i in range(rows)])
+
+
+def test_invariant_factors_of_diagonals_out_of_chain_order():
+    """invariant_factors skips the divisibility sweep: the untracked loop
+    leaves these diagonals as they are, and the gcd/lcm pass makes them a
+    chain."""
+    T = Tower(5)
+    T.sqrt(T.elem(2))  # grows u1, u1^2 = 2
+    cases = [
+        (_diag(T, ["t+1", "t"]), ["1", "t^2+t"]),
+        (_diag(T, ["t^2+1", "t^2+2", "0"]), ["1", "t^4-2*t^2+2", "0"]),
+        (_diag(T, ["t+u1", "t-u1"]), ["1", "t^2-2"]),
+        (_diag(T, ["t^2", "t^3+t", "t"]), ["t", "t", "t^4+t^2"]),
+        (_diag(T, ["t", "t+1"], rows=2, cols=3), ["1", "t^2+t"]),
+        (_diag(T, ["t^2-1", "t"], rows=3, cols=2), ["1", "t^3-t"]),
+    ]
+    for A, want in cases:
+        fs = invariant_factors(A)
+        assert [str(f) for f in fs] == want, str(A)
+        assert fs == smith_form(A).factors, str(A)
+
+
+def _unimodular(T, rng, n, poly):
+    """A random unimodular n x n matrix: unit lower times unit upper
+    triangular, with entries drawn by poly."""
+    z, o = StarPoly.zero(T), StarPoly.one(T)
+    L = PolyMatrix(T, [[poly() if j < i else (o if i == j else z) for j in range(n)]
+                       for i in range(n)])
+    R = PolyMatrix(T, [[poly() if j > i else (o if i == j else z) for j in range(n)]
+                       for i in range(n)])
+    return L @ R
+
+
+def test_invariant_factors_of_scrambled_non_chain_diagonals():
+    """U D V with U, V unimodular and D a diagonal that is not a chain, at
+    level 0 and with u1 coefficients: invariant_factors agrees with
+    smith_form, and the factors form a monic chain whose product is the
+    product of D's monic entries."""
+    rng = random.Random(31)
+    seen_non_chain = 0
+    for level in (0, 1):
+        for _ in range(25):
+            T = quadratic_tower(rng.choice([3, 5])) if level else Tower(rng.choice([3, 5, 7]))
+            n = rng.randint(2, 4)
+            poly = ((lambda: rand_ext_poly(T, rng, 1)) if level
+                    else (lambda: rand_poly(T, rng, 1)))
+            diag = []
+            for _ in range(n):
+                f = StarPoly.zero(T)
+                while f.degree() < 1:
+                    f = poly()
+                diag.append(f.monic())
+            if all(a.divides(b) for a, b in zip(diag, diag[1:])):
+                continue
+            seen_non_chain += 1
+            D = PolyMatrix.diagonal(T, diag)
+            A = (_unimodular(T, rng, n, poly) @ D) @ _unimodular(T, rng, n, poly)
+            fs = invariant_factors(A)
+            assert fs == smith_form(A).factors
+            assert fs == invariant_factors(D) == smith_form(D).factors
+            assert all(f.lc().is_one() for f in fs)
+            assert all(a.divides(b) for a, b in zip(fs, fs[1:]))
+            prod_f, prod_d = StarPoly.one(T), StarPoly.one(T)
+            for f, d in zip(fs, diag):
+                prod_f, prod_d = prod_f * f, prod_d * d
+            assert prod_f == prod_d
+    assert seen_non_chain >= 30
+
+
+def test_smith_form_pinned():
+    """smith_form's U, V and D text, fixed: a diagonal whose divisibility
+    sweep finds a culprit, and a matrix with a u1 entry."""
+    T = Tower(5)
+    sf = smith_form(M([["t", "0"], ["0", "t+1"]], T))
+    assert str(sf.U) == "[[1, 1], [t+1, t]]"
+    assert str(sf.V) == "[[-1, t+1], [1, -t]]"
+    assert str(sf.D) == "[[1, 0], [0, t^2+t]]"
+    u = T.sqrt(T.elem(2))
+    assert str(u) == "u1"
+    A = PolyMatrix(T, [[parse_poly("t^2+1", T), StarPoly.const(T, u)],
+                       [parse_poly("t", T), parse_poly("t^3-t", T)]])
+    sf = smith_form(A)
+    assert str(sf.U) == "[[(3*u1), 0], [t^3-t, (4*u1)]]"
+    assert str(sf.V) == "[[0, 1], [1, (2*u1)*t^2+(2*u1)]]"
+    assert str(sf.D) == "[[1, 0], [0, t^5+(4*u1+4)*t]]"
+
+
+def test_level0_products_match_element_branch(monkeypatch):
+    """Matrix products, window products and Reduction.embed over F_p give
+    the same entries on int lists as on element lists, sparse entries
+    included."""
+    from starform import polymat
+    rng = random.Random(44)
+    for _ in range(40):
+        p = rng.choice([3, 5, 7])
+        T = Tower(p) if rng.random() < 0.5 else quadratic_tower(p)
+        m, k, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        A = PolyMatrix(T, [[rand_poly(T, rng, 3) if rng.random() < 0.6
+                            else StarPoly.zero(T) for _ in range(k)] for _ in range(m)])
+        B = PolyMatrix(T, [[rand_poly(T, rng, 3) if rng.random() < 0.6
+                            else StarPoly.zero(T) for _ in range(n)] for _ in range(k)])
+        w = rng.randint(1, k)
+        off = rng.randint(0, k - w)
+        S = rand_matrix(T, rng, w, 2)
+        F = rand_eps_form(T, rng, k, 1, 2)
+
+        def results():
+            red = Reduction(F)
+            red.embed(S, off)
+            return A @ B, polymat.mul_window(A, S, off), red.S, red.B
+        want = results()
+        with monkeypatch.context() as mp:
+            mp.setattr(polymat, "_above_fp", lambda A: True)
+            assert results() == want
+
+
 # ---------------- matrix gcd ----------------
 
 def test_gcd_of_matrix_examples():
