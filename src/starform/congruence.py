@@ -36,10 +36,10 @@ from .starpoly import (EVEN, StarPoly, canonical_pure_factor,
                        gcd_bezout, gcd_many, is_pure, norm_factor,
                        norm_factor_avoiding, pure_split, solve_norm_equation)
 from .polymat import (HERMITIAN, SKEW, Certificate, PolyMatrix, Reduction,
-                      apply_matrix, determinant, form_kind, form_value,
-                      gcd_of_matrix, invariant_factors, kernel_split,
-                      reduce_columns, smith_form, unimodular_completion,
-                      vector_gcd)
+                      apply_matrix, congruence_product, determinant,
+                      form_kind, form_value, gcd_of_matrix, invariant_factors,
+                      kernel_split, reduce_columns, smith_form,
+                      unimodular_completion, vector_gcd)
 from .tower import FieldElem, Tower
 
 _SCAN_CAP = 4096
@@ -571,7 +571,7 @@ def _sk2_zero_diagonal(A: PolyMatrix) -> Certificate:
     r = a1 * c * c
     N = PolyMatrix(T, [[StarPoly.zero(T), r],
                        [-r.star(), StarPoly.zero(T)]])
-    _require((S2.star_transpose() @ N) @ S2 == red.B, "sk2 identity failed")
+    _require(congruence_product(S2, N) == red.B, "sk2 identity failed")
     S2inv = PolyMatrix(T, [[z_, -y_], [-(a1.star() * c.star()), cx]])
     red.apply(S2inv)
     _require(red.B == N, "sk2_zero_diagonal did not reach a zero diagonal")
@@ -681,7 +681,8 @@ def _smith_pivot(B: PolyMatrix, p: StarPoly) -> List[StarPoly]:
     next d with f_d = f2."""
     n = B.rows
     sf = smith_form(B)
-    cols = [sf.U.star_transpose().column(j) for j in range(n)]
+    # column j of U* is row j of U, starred
+    cols = [[e.star() for e in row] for row in sf.U.entries]
 
     def reduced(j: int, others: List[int]) -> List[StarPoly]:
         work = [cols[k] for k in others] + [cols[j]]

@@ -19,13 +19,22 @@ loop, a transvection, a column reduction or a step of unimodular
 completion, is one fused multiply-add, ``Tower.poly_axpy`` or its int body
 ``_Lists.axpy``; ``poly_axpy`` finds the level on every call once the tower
 has grown.  Matrix products (``@``, ``mul_window``, ``Reduction.embed``)
-find the level once per product and, over F_p, run ``Tower._int_dot`` on
-int lists.  ``form_kind`` compares coefficient slices, and negates them by
-residue while the tower has not grown.
+find the level once per product.  Over F_p they pack each entry once into
+an int whose slots hold its coefficients (Kronecker substitution,
+``_Packing``), so an output entry is one sum of int products, unpacked
+once; above F_p each output entry is one ``Tower.poly_dot``.
+``congruence_product`` forms S* A S the same way in one pass: it packs the
+rows of S* from S, its odd coefficients negated, and keeps S* A packed.
+The certificate check, ``Reduction.apply`` and ``kernel_split`` run on it.
+A product or congruence with an identity operand, found by a scan that
+stops at the first other entry, returns the other operand.  ``form_kind``
+compares coefficient slices, and negates them by residue while the tower
+has not grown.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter, lshift, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .starpoly import EVEN, ODD, StarPoly, format_poly, gcd as poly_gcd
@@ -122,6 +131,10 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         T = self.tower
         return PolyMatrix(T, _products(T, self.entries, zip(*other.entries),
                                        _above_fp(self) or _above_fp(other)))
@@ -169,33 +182,118 @@ def _above_fp(A: PolyMatrix) -> bool:
         c.level for row in A.entries for e in row for c in e.coeffs)
 
 
-def _int_lists(rows) -> List[List[List[int]]]:
-    """Rows of StarPolys over F_p as rows of int coefficient lists."""
-    return [[[c.rep for c in e.coeffs] for e in row] for row in rows]
+def _is_identity(M: PolyMatrix) -> bool:
+    """Whether M is an identity matrix, by a scan that stops at the first
+    entry that differs."""
+    if M.rows != M.cols:
+        return False
+    one = (M.tower.one,)
+    for i, row in enumerate(M.entries):
+        for j, e in enumerate(row):
+            if e.coeffs != one if i == j else e.coeffs:
+                return False
+    return True
+
+
+_rep = attrgetter("rep")
+
+
+class _Packing:
+    """Kronecker substitution over F_p: a polynomial with coefficients in
+    [0, p) is the int sum c_k 2^(w k), and the product of two such ints is
+    the packed product of the polynomials.  ``bound`` bounds every slot of
+    every sum of products the caller forms, so slots never carry into each
+    other and each output is unpacked, reduced mod p, once."""
+
+    __slots__ = ("T", "w", "shifts", "zero")
+
+    def __init__(self, T: Tower, bound: int, length: int):
+        self.T = T
+        self.zero = StarPoly.zero(T)
+        self.w = w = max(bound.bit_length(), 1)
+        self.shifts = range(0, w * length, w)
+
+    def pack(self, e: StarPoly) -> int:
+        return sum(map(lshift, map(_rep, e.coeffs), self.shifts))
+
+    def pack_star(self, e: StarPoly) -> int:
+        """The packed e*: the odd coefficients c taken as p - c."""
+        p = self.T.p
+        return sum([(-c.rep % p if k & 1 else c.rep) << s
+                    for k, (c, s) in enumerate(zip(e.coeffs, self.shifts))])
+
+    def poly(self, v: int) -> StarPoly:
+        if not v:
+            return self.zero
+        T = self.T
+        w, p, cache = self.w, T.p, T._fp_cache
+        mask = (1 << w) - 1
+        return StarPoly(T, [cache[((v >> s) & mask) % p]
+                            for s in range(0, v.bit_length(), w)])
+
+
+def _longest(*lines) -> int:
+    """The longest coefficient tuple among the entries of the rows (or
+    columns) of ``lines``."""
+    return max([len(e.coeffs) for rows in lines for row in rows for e in row],
+               default=0)
 
 
 def _products(T: Tower, rows, cols, above: bool) -> List[List[StarPoly]]:
     """The entries sum_k rows[i][k] cols[j][k] of a product, for rows and
     columns of StarPolys, the level found once by the caller: ``above``
-    when an entry lies above F_p.  Over F_p each entry is one ``_int_dot``
-    on int lists, over the pairs whose two sides are both nonzero; above,
-    one ``Tower.poly_dot``."""
+    when an entry lies above F_p, and then each entry is one
+    ``Tower.poly_dot``.  Over F_p each operand entry is packed once
+    (``_Packing``), with room for the k L (p-1)^2 that a slot of an output
+    can reach, k the inner dimension and L the longest entry, and each
+    output entry is one sum of packed products, over the nonzero entries
+    of its row."""
     if above:
         dot = T.poly_dot
         cols = [[e.coeffs for e in col] for col in cols]
         return [[StarPoly(T, dot(zip(r, c))) for c in cols]
                 for r in ([e.coeffs for e in row] for row in rows)]
-    dot, cache = T._int_dot, T._fp_cache
-    zero = StarPoly.zero(T)
-    cols = _int_lists(cols)
+    cols = list(cols)
+    L = _longest(rows, cols)
+    k = len(cols[0]) if cols else 0
+    pk = _Packing(T, k * L * (T.p - 1) ** 2, L)
+    pack, poly = pk.pack, pk.poly
+    cols = [[pack(e) for e in col] for col in cols]
     out = []
-    for row in _int_lists(rows):
-        line = []
-        for col in cols:
-            pairs = [(f, g) for f, g in zip(row, col) if f and g]
-            line.append(StarPoly(T, [cache[v] for v in dot(pairs)]) if pairs else zero)
-        out.append(line)
+    for row in rows:
+        live = [(t, pack(e)) for t, e in enumerate(row) if e.coeffs]
+        out.append([poly(sum([a * c[t] for t, a in live])) for c in cols])
     return out
+
+
+def congruence_product(S: PolyMatrix, A: PolyMatrix) -> PolyMatrix:
+    """S* A S, for an n x n A and an n x m S; A itself when S is the
+    identity.
+
+    Over F_p the rows of S* are packed from the columns of S, with their
+    odd coefficients taken as p - c (``_Packing.pack_star``), so no starred
+    entry is built; S* A stays packed, and its slots are sized for the
+    unreduced triple product, n^2 L^2 (p-1)^3 with L the longest entry of
+    S and A.  Only the entries of S* A S are unpacked."""
+    if S.rows != A.cols or A.rows != A.cols:
+        raise ValueError("dimension mismatch")
+    if _is_identity(S):
+        return A
+    T = A.tower
+    if _above_fp(S) or _above_fp(A):
+        left = _products(T, S.star_transpose().entries, zip(*A.entries), True)
+        return PolyMatrix(T, _products(T, left, zip(*S.entries), True))
+    n = A.rows
+    L = _longest(S.entries, A.entries)
+    pk = _Packing(T, n * n * L * L * (T.p - 1) ** 3, L)
+    pack, pack_star, poly = pk.pack, pk.pack_star, pk.poly
+    scols = list(zip(*S.entries))
+    acols = [[pack(e) for e in col] for col in zip(*A.entries)]
+    # the rows of S* A: row a of S* is column a of S, starred
+    left = [[sum(map(mul, r, c)) for c in acols]
+            for r in ([pack_star(e) for e in col] for col in scols)]
+    scols = [[pack(e) for e in col] for col in scols]
+    return PolyMatrix(T, [[poly(sum(map(mul, r, c))) for c in scols] for r in left])
 
 
 class _Lists:
@@ -220,7 +318,7 @@ class _Lists:
             self.one = [T.one]
             self.poly = lambda f: StarPoly(T, f)
         else:
-            self.rows = _int_lists(E)
+            self.rows = [[[c.rep for c in e.coeffs] for e in row] for row in E]
             p, elem = T.p, T.elem
             self.dot, self.axpy, self.divmod = T._int_dot, T._int_axpy, T._int_divmod
             self.neg = lambda f: [p - x if x else 0 for x in f]
@@ -543,7 +641,7 @@ class Certificate:
                 f"B is {B.rows}x{B.cols}")
         if not is_unimodular(S):
             raise CertificateError("not unimodular")
-        got = (S.star_transpose() @ A) @ S
+        got = congruence_product(S, A)
         for i in range(n):
             for j in range(n):
                 if got.entries[i][j] != B.entries[i][j]:
@@ -566,6 +664,8 @@ def mul_window(M: PolyMatrix, S_small: PolyMatrix, offset: int) -> List[list]:
     T = M.tower
     win = slice(offset, offset + S_small.rows)
     out = [list(row) for row in M.entries]
+    if _is_identity(S_small):
+        return out
     new = _products(T, [row[win] for row in out], zip(*S_small.entries),
                     _above_fp(M) or _above_fp(S_small))
     for row, line in zip(out, new):
@@ -579,17 +679,16 @@ class Reduction:
     Elementary moves update only the touched rows/columns instead of doing
     full matrix products."""
 
-    __slots__ = ("A0", "S", "B", "_identity")
+    __slots__ = ("A0", "S", "B")
 
     def __init__(self, A: PolyMatrix):
         self.A0 = A
-        self.S = self._identity = PolyMatrix.identity(A.tower, A.rows)
+        self.S = PolyMatrix.identity(A.tower, A.rows)
         self.B = A
 
     def apply(self, M: PolyMatrix) -> None:
-        # I M = M: while no move has replaced the identity, S takes M itself
-        self.S = M if self.S is self._identity else self.S @ M
-        self.B = (M.star_transpose() @ self.B) @ M
+        self.S = self.S @ M
+        self.B = congruence_product(M, self.B)
 
     def transvection(self, i: int, j: int, x: StarPoly) -> None:
         """col_j += x * col_i, mirrored on rows (M = I + x E_ij)."""
@@ -638,6 +737,8 @@ class Reduction:
 
     def embed(self, S_small: PolyMatrix, offset: int) -> None:
         """Apply I (+) S_small (+) I acting on the coordinate window."""
+        if _is_identity(S_small):
+            return
         T = self.B.tower
         win = slice(offset, offset + S_small.rows)
         B = mul_window(self.B, S_small, offset)
@@ -763,7 +864,7 @@ def kernel_split(A: PolyMatrix) -> Certificate:
     # kernel columns annihilate A on both sides
     reduce_columns(scols, range(n - r), 4)
     S = PolyMatrix(T, [[scols[j][i] for j in range(n)] for i in range(n)])
-    B = (S.star_transpose() @ A) @ S
+    B = congruence_product(S, A)
     for i in range(n):
         for j in range(n):
             if (i < n - r or j < n - r) and not B.entries[i][j].is_zero():

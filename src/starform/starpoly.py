@@ -574,9 +574,11 @@ class _Parser:
     Integers are reduced mod p and uK is the generator of tower level K.
     The text is split once into tokens, a run of digits or one other
     character, and ``""`` ends them; an error names the offset of its token
-    in the text.  Values are the tower kernel's trimmed coefficient lists:
-    t^k is built as the list [0]*k + [1], so a term c*t^k costs one product
-    by a constant, and ^ on any other atom squares and multiplies
+    in the text.  Values are the tower kernel's trimmed coefficient lists,
+    except that a term c t^k, c an integer, is the pair (c mod p, k): a
+    sum places such terms at index k of one int accumulator, with no
+    kernel call.  Only the other terms, parentheses, uK, ^ on an atom and
+    products with them, run on the kernel, where ^ squares and multiplies
     (StarPoly.__pow__)."""
 
     def __init__(self, text: str, tower: Tower):
@@ -595,30 +597,49 @@ class _Parser:
             raise self.error("trailing input")
         return StarPoly(self.tower, value)
 
+    def as_list(self, value) -> List[FieldElem]:
+        """A term as a coefficient list."""
+        if type(value) is not tuple:
+            return value
+        c, k = value
+        T = self.tower
+        return [T.zero] * k + [T.elem(c)] if c else []
+
     def expr(self) -> List[FieldElem]:
         T, toks = self.tower, self.tokens
+        acc: List[int] = []  # the c t^k terms: c at index k
+        value: List[FieldElem] = []  # the sum of the other terms
         op = toks[self.i]
         if op == "+" or op == "-":
             self.i += 1
-        value = self.term()
-        if op == "-":
-            value = T.poly_neg(value)
-        op = toks[self.i]
-        while op == "+" or op == "-":
-            self.i += 1
-            rhs = self.term()
-            value = T.poly_add(value, rhs) if op == "+" else T.poly_sub(value, rhs)
+        while True:
+            term = self.term()
+            if type(term) is not tuple:
+                value = T.poly_sub(value, term) if op == "-" else T.poly_add(value, term)
+            elif term[0]:
+                c, k = term
+                if len(acc) <= k:
+                    acc.extend([0] * (k + 1 - len(acc)))
+                acc[k] += -c if op == "-" else c
             op = toks[self.i]
-        return value
+            if op != "+" and op != "-":
+                break
+            self.i += 1
+        mono = T.poly_trim([T.elem(c) for c in acc])
+        return T.poly_add(value, mono) if value else mono
 
-    def term(self) -> List[FieldElem]:
+    def term(self):
         value = self.factor()
         while self.tokens[self.i] == "*":
             self.i += 1
-            value = self.tower.poly_mul(value, self.factor())
+            rhs = self.factor()
+            if type(value) is tuple and type(rhs) is tuple:
+                value = (value[0] * rhs[0] % self.tower.p, value[1] + rhs[1])
+            else:
+                value = self.tower.poly_mul(self.as_list(value), self.as_list(rhs))
         return value
 
-    def factor(self) -> List[FieldElem]:
+    def factor(self):
         T, toks = self.tower, self.tokens
         if toks[self.i] == "t":
             self.i += 1
@@ -626,14 +647,14 @@ class _Parser:
             if toks[self.i] == "^":
                 self.i += 1
                 k = self.integer()
-            return [T.zero] * k + [T.one]
+            return (1, k)
         value = self.atom()
         if toks[self.i] == "^":
             self.i += 1
-            value = list((StarPoly(T, value) ** self.integer()).coeffs)
+            value = list((StarPoly(T, self.as_list(value)) ** self.integer()).coeffs)
         return value
 
-    def atom(self) -> List[FieldElem]:
+    def atom(self):
         T = self.tower
         tok = self.tokens[self.i]
         if tok == "(":
@@ -647,7 +668,7 @@ class _Parser:
             self.i += 1
             return [T.generator(self.integer())]
         if tok.isdecimal():
-            return T.poly_trim([T.elem(self.integer())])
+            return (self.integer() % T.p, 0)
         raise self.error(f"unexpected character {tok!r}")
 
     def integer(self) -> int:

@@ -24,10 +24,10 @@ root sqrt(a / c_(b+1)) u_(b+1), which grows level b + 1 when b is the top.
 The Tower also owns the one polynomial kernel of the package: the
 ``poly_*`` methods add, multiply, divide, take gcds and modular powers of
 coefficient lists (trimmed; zero is ``[]``); ``poly_dot`` sums the
-products of a list of pairs, the kernel of matrix products, matrix-vector
-products, form values and determinants; and ``poly_axpy`` is the fused
-f + c g of every elementary move of elimination, transvections and column
-reductions.  Root finding and factoring here,
+products of a list of pairs, the kernel of matrix products above F_p,
+matrix-vector products, form values and determinants; and ``poly_axpy``
+is the fused f + c g of every elementary move of elimination,
+transvections and column reductions.  Root finding and factoring here,
 and ``StarPoly`` and ``PolyMatrix`` arithmetic, run on it.  Field
 operations and each kernel call dispatch once on the highest level
 involved, to one of two branches:
@@ -53,7 +53,10 @@ A tower that has not grown holds only level-0 elements, so there the
 kernel skips the scan for the highest level.  The elimination loops of
 ``polymat`` (Smith form, determinant) find the level of a matrix once and,
 at level 0, call these int bodies directly for the whole loop; above
-level 0 they run on element lists through the per-call dispatch.
+level 0 they run on element lists through the per-call dispatch.  Matrix
+products and congruences over F_p do not call this kernel: ``polymat``
+packs each entry into one int, its coefficients in fixed-width slots, and
+multiplies the packed ints.
 
 An extension-level inverse is taken by the norm,
 (a0 + a1 u)^-1 = (a0 - a1 u) / (a0^2 - c a1^2), with one inverse one level

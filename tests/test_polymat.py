@@ -507,6 +507,185 @@ def test_level0_products_match_element_branch(monkeypatch):
             assert results() == want
 
 
+def _poly_of_length(T, rng, length, full=False):
+    """A polynomial with ``length`` coefficients (zero when 0), random with
+    a nonzero top, or every one p - 1 when ``full``."""
+    if not length:
+        return StarPoly.zero(T)
+    if full:
+        return StarPoly.from_ints(T, [T.p - 1] * length)
+    return StarPoly.from_ints(T, [rng.randrange(T.p) for _ in range(length - 1)]
+                              + [rng.randrange(1, T.p)])
+
+
+def _product_by_entries(A, B):
+    """A B by the definition, each entry a sum of StarPoly products."""
+    z = StarPoly.zero(A.tower)
+    return PolyMatrix(A.tower, [[sum((a * b for a, b in zip(row, col)), z)
+                                 for col in zip(*B.entries)] for row in A.entries])
+
+
+def _near_identities(T, n):
+    """n x n matrices that differ from the identity in one entry: the last
+    diagonal entry, an entry below the diagonal, one above it."""
+    one, z = StarPoly.one(T), StarPoly.zero(T)
+    x = StarPoly.from_ints(T, [1, 1])
+    changes = [(n - 1, n - 1, x)]
+    if n > 1:
+        changes += [(n - 1, 0, one), (0, n - 1, x)]
+    out = []
+    for i, j, e in changes:
+        rows = [[one if a == b else z for b in range(n)] for a in range(n)]
+        rows[i][j] = e
+        out.append(PolyMatrix(T, rows))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 7, 65537])
+def test_packed_products_match_schoolbook(p):
+    """Products over F_p on packed ints equal the entry-by-entry product:
+    entries of 0 to 40 coefficients (at 65537 a slot then passes 32 bits),
+    entries whose every coefficient is p - 1, so that a slot reaches its
+    bound, all-zero rows, 1 x 1 matrices and windows.  An identity operand
+    is returned as the other one, and a matrix one entry away from the
+    identity is multiplied."""
+    from starform import polymat
+    rng = random.Random(p)
+    T = Tower(p)
+    for trial in range(30):
+        m, k, n = ((1, 1, 1) if trial < 3 else
+                   (rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)))
+        top = rng.choice([1, 2, 8, 40])
+        full = trial % 4 == 0
+        rows = [[_poly_of_length(T, rng, top if full else rng.randint(0, top), full)
+                 for _ in range(k)] for _ in range(m)]
+        if trial % 5 == 1:
+            rows[rng.randrange(m)] = [StarPoly.zero(T)] * k
+        A = PolyMatrix(T, rows)
+        B = PolyMatrix(T, [[_poly_of_length(T, rng, top if full else rng.randint(0, top),
+                                            full) for _ in range(n)] for _ in range(k)])
+        assert A @ B == _product_by_entries(A, B)
+        w = rng.randint(1, k)
+        off = rng.randint(0, k - w)
+        S = PolyMatrix(T, [[_poly_of_length(T, rng, rng.randint(0, top), full)
+                            for _ in range(w)] for _ in range(w)])
+        E = PolyMatrix.block_diag(T, [PolyMatrix.identity(T, off), S,
+                                      PolyMatrix.identity(T, k - off - w)])
+        assert PolyMatrix(T, polymat.mul_window(A, S, off)) == _product_by_entries(A, E)
+        I_m, I_k = PolyMatrix.identity(T, m), PolyMatrix.identity(T, k)
+        assert (I_m @ A) is A and (A @ I_k) is A and (I_k @ I_k) is I_k
+        assert polymat.mul_window(A, PolyMatrix.identity(T, w), off) == \
+            [list(row) for row in A.entries]
+        for X in _near_identities(T, k):
+            assert A @ X == _product_by_entries(A, X)
+            assert X @ B == _product_by_entries(X, B)
+
+
+def _congruence_by_entries(S, A):
+    return _product_by_entries(_product_by_entries(S.star_transpose(), A), S)
+
+
+@pytest.mark.parametrize("p", [3, 7, 65537])
+def test_congruence_product_matches_star_transpose_products(p):
+    """The fused S* A S equals (S* A) S by entries: hermitian, skew and
+    general A, square and rectangular S, entries of up to 40 coefficients,
+    every coefficient p - 1 (each slot of the triple product at its
+    bound), odd coefficients in S (the star), S one entry away from the
+    identity, and the identity itself, which returns A."""
+    from starform.polymat import congruence_product
+    rng = random.Random(p + 1)
+    T = Tower(p)
+    for trial in range(24):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        full = trial % 4 == 0
+        top = 1 if trial % 8 == 0 else rng.choice([2, 6, 40])
+        kind = trial % 3
+        if kind == 2 or full:
+            A = PolyMatrix(T, [[_poly_of_length(T, rng, top if full else rng.randint(0, top),
+                                                full) for _ in range(n)] for _ in range(n)])
+        else:
+            A = rand_eps_form(T, rng, n, (1, -1)[kind], min(top, 8))
+        S = PolyMatrix(T, [[_poly_of_length(T, rng, top if full else rng.randint(0, top),
+                                            full) for _ in range(m)] for _ in range(n)])
+        assert congruence_product(S, A) == _congruence_by_entries(S, A)
+        assert congruence_product(PolyMatrix.identity(T, n), A) is A
+        for X in _near_identities(T, n):
+            assert congruence_product(X, A) == _congruence_by_entries(X, A)
+
+
+def test_congruence_product_level0_matches_element_branch(monkeypatch):
+    """In a grown tower, with and without u1 coefficients, the fused S* A S
+    equals (S* A) S by entries, and the element branch, forced for entries
+    over F_p, gives the same entries."""
+    from starform import polymat
+    congruence_product = polymat.congruence_product
+    rng = random.Random(45)
+    for p in (3, 5, 7):
+        T = quadratic_tower(p)
+        for trial in range(10):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            poly = rand_ext_poly if trial % 2 else rand_poly
+            A = PolyMatrix(T, [[poly(T, rng, 4) for _ in range(n)] for _ in range(n)])
+            S = PolyMatrix(T, [[poly(T, rng, 4) for _ in range(m)] for _ in range(n)])
+            want = congruence_product(S, A)
+            assert want == _congruence_by_entries(S, A)
+            with monkeypatch.context() as mp:
+                mp.setattr(polymat, "_above_fp", lambda A: True)
+                assert congruence_product(S, A) == want
+
+
+_CERTIFICATE_CORRUPTIONS = r"""
+import sys
+from starform import PolyMatrix, Tower, parse_poly
+from starform.polymat import Certificate, CertificateError, congruence_product
+
+def M(rows, T):
+    return PolyMatrix(T, [[parse_poly(e, T) for e in row] for row in rows])
+
+def corrupt(M, i, j, k):
+    # M with the t^k coefficient of entry (i, j) raised by one
+    rows = [list(row) for row in M.entries]
+    rows[i][j] = rows[i][j] + parse_poly(f"t^{k}", M.tower)
+    return PolyMatrix(M.tower, rows)
+
+for p in (7, 65537):
+    T = Tower(p)
+    A = M([["t^6+1", "t^3+2*t+5"], ["-t^3-2*t+5", "3*t^6-2"]], T)
+    S = M([["1", "t^3+t^2+3"], ["0", "1"]], T)
+    B = congruence_product(S, A)
+    Certificate(S, B).check(A)
+    D = M([["t", "0"], ["0", "1"]], T)
+    for S1, B1 in ((D, congruence_product(D, A)), (S, corrupt(B, 1, 0, 5)),
+                   (corrupt(S, 0, 1, 2), B)):
+        try:
+            Certificate(S1, B1).check(A)
+        except CertificateError as exc:
+            print(p, exc)
+        else:
+            sys.exit("a corrupt certificate passed")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_certificate_check_rejects_corruptions(flags):
+    """At p = 7 and p = 65537, with and without python -O, the check
+    rejects a non-unimodular S with S* A S = B, one changed coefficient of
+    B and one changed coefficient of S, which keeps det S = 1, so only the
+    product finds it."""
+    src = str(Path(__import__("starform").__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, *flags, "-c", _CERTIFICATE_CORRUPTIONS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    for p, got in zip((7, 65537), (lines[:3], lines[3:])):
+        assert got[0] == f"{p} not unimodular"
+        assert got[1].startswith(f"{p} entry (2,1): ")
+        assert got[2].startswith(f"{p} entry (")
+
+
 # ---------------- matrix gcd ----------------
 
 def test_gcd_of_matrix_examples():

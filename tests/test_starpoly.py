@@ -642,6 +642,31 @@ def test_parse_term_costs_one_product_per_star(monkeypatch):
     assert a == StarPoly.from_ints(T, [2] + [0] * 4 + [4] + [0] * 14 + [3] + [0] * 16 + [4])
 
 
+def test_parse_places_monomial_terms_without_the_kernel(monkeypatch):
+    """A term c*t^k, c an integer, goes to index k of an int accumulator:
+    a sum of such terms makes no kernel call, and a sum that mixes them
+    with other terms has the value of the arithmetic."""
+    T = Tower(5)
+    calls = []
+    for name in ("poly_mul", "_poly_add_sub", "poly_neg"):
+        def counted(self, *args, _f=getattr(Tower, name), _n=name):
+            calls.append(_n)
+            return _f(self, *args)
+        monkeypatch.setattr(Tower, name, counted)
+    a = parse_poly("4*t^37+3*t^20-t^5*2*t+2-0*t^99+t*t^2*3", T)
+    assert calls == []
+    assert a == StarPoly.from_ints(T, [2, 0, 0, 3, 0, 0, 3] + [0] * 13 + [3]
+                                   + [0] * 16 + [4])
+    assert parse_poly("-t+t", T).is_zero() and calls == []
+    t, one = StarPoly.t(T), StarPoly.one(T)
+    c = lambda n: StarPoly.const(T, n)
+    for text, want in (("t^2*(t+1)-5*t^3+t", t * t * (t + one) + t),
+                       ("-(t+2)+3*t", c(2) * t - c(2)),
+                       ("2*t^3*3*t-(1)", c(6) * t * t * t * t - one),
+                       ("2^2*t-t", c(3) * t)):
+        assert parse_poly(text, T) == want
+
+
 @pytest.mark.parametrize("text, message", [
     ("2*", "unexpected character '' at 2 in '2*'"),
     ("t^", "expected integer at 2 in 't^'"),
