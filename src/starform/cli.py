@@ -265,14 +265,22 @@ def cmd_canonical(args) -> int:
     return 0
 
 
+def _congruence_kind(M: PolyMatrix, declared: Optional[int]) -> Optional[int]:
+    """The declared epsilon, which ``parse_problem`` checked against M; else
+    M's kind, a zero matrix of any shape counting as hermitian."""
+    if declared is not None:
+        return declared
+    return HERMITIAN if M.is_zero() else form_kind(M)
+
+
 def cmd_congruent(args) -> int:
     tower1, eps1, A, _ = parse_problem(Path(args.file_a).read_text())
     _, eps2, B, _ = parse_problem(Path(args.file_b).read_text(), tower1)
     if A.rows != B.rows:
         print("no")
         return 0
-    kind_a = form_kind(A) if not A.is_zero() else (eps1 or HERMITIAN)
-    kind_b = form_kind(B) if not B.is_zero() else (eps2 or HERMITIAN)
+    kind_a = _congruence_kind(A, eps1)
+    kind_b = _congruence_kind(B, eps2)
     if kind_a is None or kind_b is None or kind_a != kind_b:
         print("no")
         return 0

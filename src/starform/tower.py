@@ -60,20 +60,18 @@ multiplies the packed ints.
 
 An extension-level inverse is taken by the norm,
 (a0 + a1 u)^-1 = (a0 - a1 u) / (a0^2 - c a1^2), with one inverse one level
-down, and is kept on the element (``FieldElem._inv``); canonical elements
-are shared per level, so a divisor's leading coefficient is inverted once,
-not at every division.
+down.  The tower keeps each one in a memo keyed by the F_p coordinates
+(``Tower._inverses``): elements are rebuilt, not shared, so a divisor's
+leading coefficient built again by every division is still inverted once.
 
-p must be an odd prime below 2^24, since the element caches key each
-element by its F_p coordinates packed into 24-bit slots.
+p must be an odd prime below 2^24: ``Tower(p)`` builds one level-0 element
+per residue, and the primality check is trial division.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterator, List, Optional, Sequence, Tuple
-
-DEFAULT_SEED = 0x5EED
 
 
 def _is_prime(n: int) -> bool:
@@ -100,38 +98,41 @@ class Level:
 
 
 class FieldElem:
-    """Element of the tower.
+    """Element of the tower: its level and its F_p coordinates.
 
-    ``level == 0``: ``rep`` is an int in [0, p).  ``level >= 1``: ``rep`` is
-    the pair (a0, a1) of canonical FieldElems of lower level, a1 nonzero,
-    for the element a0 + a1 u_level.  Canonical form is unique, so equality
-    and hashing are structural.  Every extension element is built by
-    ``Tower._elem_from_flat``, which sets its key.
+    An element lives at the lowest level that holds it.  ``level == 0``:
+    ``rep`` is an int in [0, p), and the tower shares one element per
+    residue.  ``level >= 1`` (``_ExtElem``): ``coords`` is the tuple of its
+    2^level F_p coordinates, whose upper half is nonzero, and ``rep`` is the
+    pair (a0, a1) of elements one level down, a1 nonzero, for
+    a0 + a1 u_level, built on read.  The form is unique, so equality and
+    hashing read the level and the coordinates.
     """
 
-    __slots__ = ("tower", "level", "rep", "_key", "_terms", "_inv")
+    __slots__ = ("tower", "level", "rep", "_terms")
 
     def __init__(self, tower: "Tower", level: int, rep):
         self.tower = tower
         self.level = level
         self.rep = rep
-        self._key = None
         self._terms = None
-        self._inv = None
+
+    @property
+    def coords(self) -> Tuple[int, ...]:
+        """The F_p coordinates at the element's own level."""
+        return (self.rep,)
 
     # -- canonical order key: level-major, then F_p coordinates --
 
     def key(self):
-        if self._key is None:  # only level 0 builds its key on demand
-            self._key = (0, (self.rep,))
-        return self._key
+        return (self.level, self.coords)
 
     def _coord_terms(self) -> List[Tuple[int, int]]:
         """The nonzero F_p coordinates as (index, value) pairs.  They are the
         same at every level above the element's own, whose F_p basis
         extends that of the level below."""
         if self._terms is None:
-            self._terms = [(i, c) for i, c in enumerate(self.key()[1]) if c]
+            self._terms = [(i, c) for i, c in enumerate(self.coords) if c]
         return self._terms
 
     def is_zero(self) -> bool:
@@ -145,7 +146,8 @@ class FieldElem:
             other = self.tower.elem(other)
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.level == other.level and self.rep == other.rep
+        return self.level == other.level and (
+            self.rep == other.rep if self.level == 0 else self.coords == other.coords)
 
     def __ne__(self, other):
         result = self.__eq__(other)
@@ -213,10 +215,28 @@ class FieldElem:
         return f"FieldElem({self})"
 
 
-# The element caches key each element by its F_p coordinates packed into
-# _KEY_BITS-bit slots, so p must fit one
-_KEY_BITS = 24
-_MAX_P = 1 << _KEY_BITS
+class _ExtElem(FieldElem):
+    """An element above F_p: ``Tower._from_coords`` builds it from its
+    coordinates, and the pair ``rep`` is derived from them."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, tower: "Tower", level: int, coords: Tuple[int, ...]):
+        self.tower = tower
+        self.level = level
+        self.coords = coords
+        self._terms = None
+
+    @property
+    def rep(self) -> Tuple[FieldElem, FieldElem]:
+        h = len(self.coords) >> 1
+        T = self.tower
+        return T._from_coords(self.coords[:h]), T._from_coords(self.coords[h:])
+
+
+# Tower(p) builds one level-0 element per residue and checks p by trial
+# division, which bounds p
+_MAX_P = 1 << 24
 
 
 def _poly_key(h) -> tuple:
@@ -281,14 +301,15 @@ class _FlatField:
 class Tower:
     """The algebraic closure of F_p as an append-only tower of extensions."""
 
-    def __init__(self, p: int, seed: int = DEFAULT_SEED):
+    def __init__(self, p: int):
         if p >= _MAX_P:
-            raise ValueError(f"p must be below 2^{_KEY_BITS}, got {p}")
+            raise ValueError(f"p must be below 2^24, got {p}")
         if not _is_prime(p) or p == 2:
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
         self.levels: List[Level] = []
-        self.rng = random.Random(seed)
+        # the random elements of Cantor-Zassenhaus, the same in every run
+        self.rng = random.Random(0x5EED)
         self._fp_cache = [FieldElem(self, 0, n) for n in range(p)]
         self.zero = self._fp_cache[0]
         self.one = self._fp_cache[1]
@@ -296,7 +317,8 @@ class Tower:
         self._c = [self._fp_cache[next(n for n in range(2, p)
                                        if pow(n, (p - 1) // 2, p) == p - 1)]]
         self._flats: List = [None]
-        self._elem_cache: List[dict] = [{}]
+        # extension-level inverses by the coordinates of the inverted element
+        self._inverses: dict = {}
 
     # ---------------- basic constructors ----------------
 
@@ -309,7 +331,7 @@ class Tower:
             raise ValueError(f"no generator for level {level}")
         coords = [0] * self.coord_size(level)
         coords[self.coord_size(level - 1)] = 1
-        return self._elem_from_flat(level, coords)
+        return self._from_coords(coords)
 
     def num_levels(self) -> int:
         return len(self.levels)
@@ -355,35 +377,17 @@ class Tower:
             flats[level] = ff
         return ff
 
-    def _elem_from_flat(self, level: int, coords) -> FieldElem:
-        """Canonical element from F_p coordinates, memoized per level so the
-        nested representation is shared instead of rebuilt.  It is the pair
-        of the elements one level down whose coordinates are the two halves
-        of ``coords``, or the lower half alone when the upper one is zero."""
-        if level == 0:
+    def _from_coords(self, coords: Sequence[int]) -> FieldElem:
+        """The element with the F_p coordinates ``coords``, each in [0, p),
+        2^k of them for some level k, built at the lowest level that holds
+        them: trailing zero coordinates are dropped."""
+        n = len(coords)
+        while n > 1 and not coords[n - 1]:
+            n -= 1
+        if n == 1:
             return self._fp_cache[coords[0]]
-        packed = 0
-        for k in range(len(coords) - 1, -1, -1):
-            packed = (packed << _KEY_BITS) | coords[k]
-        caches = self._elem_cache
-        while len(caches) <= level:
-            caches.append({})
-        cache = caches[level]
-        e = cache.get(packed)
-        if e is None:
-            h = len(coords) >> 1
-            e = self._elem_from_flat(level - 1, coords[:h])
-            if packed >> (_KEY_BITS * h):
-                e = FieldElem(self, level,
-                              (e, self._elem_from_flat(level - 1, coords[h:])))
-                e._key = (level, tuple(coords))
-            if len(cache) < 500_000:
-                cache[packed] = e
-        return e
-
-    def _from_packed(self, level: int, ff: _FlatField, v: int) -> FieldElem:
-        """The element whose F_p coordinates are v's slots, each mod p."""
-        return self._elem_from_flat(level, ff.unpack(v))
+        level = (n - 1).bit_length()
+        return _ExtElem(self, level, tuple(coords[:1 << level]))
 
     @staticmethod
     def _mul_rows(ff: _FlatField, terms) -> List[int]:
@@ -411,20 +415,20 @@ class Tower:
         v = 0
         for j, bj in b._coord_terms():
             v += bj * rows[j]
-        return self._from_packed(level, ff, v)
+        return self._from_coords(ff.unpack(v))
 
     def _add_flat(self, a: FieldElem, b: FieldElem, level: int) -> FieldElem:
         p = self.p
         ca = self.fp_coords(a, level)
         cb = self.fp_coords(b, level)
-        return self._elem_from_flat(level, [(x + y) % p for x, y in zip(ca, cb)])
+        return self._from_coords([(x + y) % p for x, y in zip(ca, cb)])
 
     def poly_mul_flat(self, ca_elems, cb_elems, level: int) -> List[FieldElem]:
         """Convolution of two nonempty coefficient vectors whose entries live
         at the extension ``level``: the whole product accumulates in packed
         integer space, materializing only the output coefficients."""
         ff = self._flat(level)
-        return [self._from_packed(level, ff, v)
+        return [self._from_coords(ff.unpack(v))
                 for v in self._packed_dot([(ca_elems, cb_elems)], ff)]
 
     def _packed_dot(self, pairs, ff: _FlatField) -> List[int]:
@@ -477,7 +481,7 @@ class Tower:
         if a.level == 0:
             return self._fp_cache[(-a.rep) % self.p]
         p = self.p
-        return self._elem_from_flat(a.level, [(-c) % p for c in a.key()[1]])
+        return _ExtElem(self, a.level, tuple([(-c) % p for c in a.coords]))
 
     def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
         lv = a.level if a.level >= b.level else b.level
@@ -492,11 +496,10 @@ class Tower:
             raise ZeroDivisionError("field inverse of zero")
         if a.level == 0:
             return self._fp_cache[pow(a.rep, self.p - 2, self.p)]
-        if a._inv is None:
-            # canonical elements are shared per level, so the memo serves
-            # every later division by the same value
-            a._inv = self._inv_norm(a)
-        return a._inv
+        r = self._inverses.get(a.coords)
+        if r is None:
+            r = self._inverses[a.coords] = self._inv_norm(a)
+        return r
 
     def _inv_norm(self, a: FieldElem) -> FieldElem:
         """(a0 + a1 u)^-1 = (a0 - a1 u) / (a0^2 - c a1^2) for a = (a0, a1) at
@@ -506,9 +509,8 @@ class Tower:
         a0, a1 = a.rep
         c = self.levels[level - 1].c
         n = self.inv(self.sub(mul(a0, a0), mul(c, mul(a1, a1))))
-        return self._elem_from_flat(
-            level, self.fp_coords(mul(a0, n), level - 1)
-            + self.fp_coords(self.neg(mul(a1, n)), level - 1))
+        return self._from_coords(self.fp_coords(mul(a0, n), level - 1)
+                                 + self.fp_coords(self.neg(mul(a1, n)), level - 1))
 
     def div(self, a: FieldElem, b: FieldElem) -> FieldElem:
         return self.mul(a, self.inv(b))
@@ -627,7 +629,7 @@ class Tower:
             return [cache[v] for v in self._int_dot(
                 [([x.rep for x in f], [y.rep for y in g]) for f, g in live])]
         ff = self._flat(lv)
-        out = [self._from_packed(lv, ff, v) for v in self._packed_dot(live, ff)]
+        out = [self._from_coords(ff.unpack(v)) for v in self._packed_dot(live, ff)]
         return self.poly_trim(out)
 
     def poly_axpy(self, f, c, g) -> List[FieldElem]:
@@ -649,7 +651,7 @@ class Tower:
                 [x.rep for x in f], [x.rep for x in c], [x.rep for x in g])]
         ff = self._flat(lv)
         pairs = (((self.one,), f), (c, g)) if f else ((c, g),)
-        out = [self._from_packed(lv, ff, v) for v in self._packed_dot(pairs, ff)]
+        out = [self._from_coords(ff.unpack(v)) for v in self._packed_dot(pairs, ff)]
         return self.poly_trim(out)
 
     def _int_axpy(self, f: List[int], c: List[int], g: List[int]) -> List[int]:
@@ -748,14 +750,14 @@ class Tower:
                 continue
             if ginv is not None:
                 lead = unpack(sum([c * ginv[i] for i, c in enumerate(lead) if c]))
-            q[k] = self._elem_from_flat(level, lead)
+            q[k] = self._from_coords(lead)
             if not room:
                 r[:k + n - 1] = [ff.reduce(v) for v in r[:k + n - 1]]
                 room = ff.max_pairs
             room -= 1
             for j, rows in enumerate(hrows, k):
                 r[j] += sum(c * rows[i] for i, c in terms)
-        rem = [self._from_packed(level, ff, v) for v in r[:n - 1]]
+        rem = [self._from_coords(ff.unpack(v)) for v in r[:n - 1]]
         return q, self.poly_trim(rem)
 
     def poly_mod(self, f, g) -> List[FieldElem]:
@@ -788,26 +790,20 @@ class Tower:
             e >>= 1
         return result
 
-    def _peval(self, f, x: FieldElem) -> FieldElem:
-        acc = self.zero
-        for c in reversed(f):
-            acc = self.add(self.mul(acc, x), c)
-        return acc
-
     # ---------------- F_p coordinates ----------------
 
     def fp_coords(self, a: FieldElem, level: Optional[int] = None) -> Tuple[int, ...]:
         """Coordinates of ``a`` in the F_p basis of ``level`` (at least a's
-        own): its key's coordinates, padded with zeros."""
-        own = a.key()[1]
+        own): its coordinates, padded with zeros."""
+        own = a.coords
         if level is None:
             return own
         return own + (0,) * ((1 << level) - len(own))
 
     def from_fp_coords(self, level: int, coords: Sequence[int]) -> FieldElem:
-        if level == 0:
-            return self.elem(coords[0])
-        return self._elem_from_flat(level, [c % self.p for c in coords])
+        """The element with the 2^level F_p coordinates ``coords`` (ints,
+        taken mod p) in the basis of ``level``."""
+        return self._from_coords([c % self.p for c in coords])
 
     def random_element(self, level: int, rng: Optional[random.Random] = None) -> FieldElem:
         rng = rng or self.rng

@@ -325,6 +325,23 @@ def test_congruent_kind_mismatch_prints_no(tmp_path):
     assert code == 0 and out.strip() == "no"
 
 
+def test_congruent_undeclared_nonsquare_zero_counts_as_hermitian(tmp_path):
+    # with no epsilon line, a zero matrix is hermitian whatever its shape:
+    # two 1x2 zeros reach are_congruent, which rejects them as input, and a
+    # 1x2 zero against a declared skew one is a kind mismatch
+    a = tmp_path / "a.prob"
+    b = tmp_path / "b.prob"
+    skew = tmp_path / "skew.prob"
+    a.write_text("p = 5\nA = [ [ 0, 0 ] ]\n")
+    b.write_text("p = 5\nA = [ [ 0, 0 ] ]\n")
+    skew.write_text("p = 5\nepsilon = -1\nA = [ [ 0, 0 ] ]\n")
+    code, out, err = run_cli(["congruent", str(a), str(b)])
+    assert code == 2 and out == ""
+    assert "not eps-forms of the stated kind" in err
+    code, out, _ = run_cli(["congruent", str(a), str(skew)])
+    assert code == 0 and out.strip() == "no"
+
+
 def test_random_command_deterministic(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"
@@ -367,9 +384,8 @@ def test_input_error_exit_code(tmp_path):
     bad.write_text("p = 5\nA = [ [ x ] ]\n")
     code, _, err = run_cli(["invariants", str(bad)])
     assert code == 2
-    # the first prime above 2^24: F_p coordinates no longer fit a slot of
-    # the element-cache keys; under a memory limit, since such a Tower once
-    # built a p x p table
+    # the first prime above 2^24, the bound on p; under a memory limit,
+    # since such a Tower once built a p x p table
     big = tmp_path / "big.prob"
     big.write_text("p = 16777259\nA = [ [ t ] ]\n")
     code, _, err = run_cli(["invariants", str(big)],

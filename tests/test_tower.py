@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from starform.starpoly import parse_poly
+from starform.starpoly import StarPoly, parse_poly
 from starform.tower import Level, Tower
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -183,7 +183,7 @@ def test_find_roots_grows_fixed_levels():
     f = parse_poly("(t^2+2)^2*(t^4+2)*(t-1)", T)
     roots = T.find_roots(list(f.coeffs))
     assert len(roots) == 9 and roots == sorted(roots, key=lambda r: r.key())
-    assert all(T._peval(list(f.coeffs), r).is_zero() for r in roots)
+    assert all(f.eval(r).is_zero() for r in roots)
     fixed = Tower(5)
     for _ in range(2):
         fixed.grow()
@@ -202,7 +202,7 @@ def test_minimal_polynomials_stay_irreducible():
             for c in level.minpoly:
                 assert c.level <= k
             roots_below = [x for x in _all_elements(T, k)
-                           if T._peval(list(level.minpoly), x).is_zero()]
+                           if StarPoly(T, level.minpoly).eval(x).is_zero()]
             assert not roots_below
 
 
@@ -337,9 +337,9 @@ def test_flat_level_matches_slow_arithmetic():
 
 
 def test_extension_inverse_is_memoized():
-    """An extension-level inverse is taken once per element and kept on it;
-    the kept value is still an inverse, and canonical elements built again
-    from the same coordinates share it."""
+    """An extension-level inverse is taken once per value and kept by the
+    tower; each kept value is still an inverse, and an element rebuilt from
+    the same coordinates is equal, hashes equal and takes the kept one."""
     for T in (_quadratic_tower(3, 2), _tower_with_level_x2_plus_1(8191)):
         lv = T.num_levels()
         rng = random.Random(5)
@@ -351,11 +351,58 @@ def test_extension_inverse_is_memoized():
             if a.level == 0:
                 continue
             inv = T.inv(a)
-            assert a._inv is inv and T.inv(a) is inv
             assert _school_mul(T, a, inv, lv) == T.one
             again = T.from_fp_coords(lv, T.fp_coords(a, lv))
-            assert again is a and T.inv(again) is inv
-        assert len(calls) == len(set(map(id, calls))) > 0
+            assert again == a and hash(again) == hash(a)
+            assert T.inv(again) == inv
+        assert len(calls) == len(set(calls)) > 0
+
+
+def test_rep_is_the_pair_one_level_down():
+    """``rep`` of an element at level k >= 1 is (a0, a1) below level k, with
+    a1 nonzero and a0 + a1 u_k the element."""
+    for T in (_quadratic_tower(3, 3), _quadratic_tower(5, 3)):
+        rng = random.Random(9)
+        for lv in (1, 2, 3):
+            u = T.generator(lv)
+            for _ in range(10):
+                a = T.random_element(lv, rng)
+                if a.level != lv:
+                    continue
+                a0, a1 = a.rep
+                assert a0.level < lv and a1.level < lv and not a1.is_zero()
+                assert a0 + a1 * u == a
+
+
+def test_key_order_is_level_then_coordinate_tuples():
+    """Within a level, ``key()`` orders elements by their coordinate tuples,
+    lowest coordinate first: 1 + 2 u1 comes before 2 + u1, though its
+    coordinates read as base-p digits, top first, are the larger number."""
+    T = _quadratic_tower(5, 2)
+    assert T.from_fp_coords(1, [1, 2]).key() < T.from_fp_coords(1, [2, 1]).key()
+    rng = random.Random(11)
+    xs = [T.random_element(lv, rng) for lv in (0, 1, 2) for _ in range(20)]
+    ordered = sorted(xs, key=lambda e: e.key())
+    assert [(e.level, T.fp_coords(e)) for e in ordered] == sorted(
+        (e.level, T.fp_coords(e)) for e in xs)
+
+
+def test_built_elements_are_not_kept():
+    # 300,000 distinct level-2 products, built and dropped: nothing keeps
+    # them, so a 128 MiB address-space limit holds.  Interning them in a
+    # per-level cache once took 284 MB.
+    code = ("from starform.tower import Tower\n"
+            "T = Tower(101)\n"
+            "T.grow(); T.grow()\n"
+            "x = T.generator(2)\n"
+            "for i in range(300_000):\n"
+            "    a = T.from_fp_coords(2, [i % 101, i // 101 % 101, i // 10201, 1])\n"
+            "    T.mul(a, x)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27)))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_large_prime_builds_no_product_table():
